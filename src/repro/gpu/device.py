@@ -65,6 +65,11 @@ _group_ids = itertools.count()
 #: exceeds the loop cost; the paths are bit-identical either way).
 _VEC_MIN_GROUP = 64
 
+#: Entry bound of each device's allocation memo (kernel classes, group
+#: columns and bandwidth splits together; ~0.6 KiB each).  A full memo
+#: is cleared, which costs hits, never exactness.
+_MEMO_MAX = 1024
+
 
 class AllocatorMismatch(SimulationError):
     """The incremental allocator diverged from the full recompute."""
@@ -265,7 +270,7 @@ class _GroupAllocState:
 
     __slots__ = ("budget", "overhead", "sm_list", "bwd_list",
                  "bw_demand_sum", "share", "bw_list", "sm_sum", "bw_sum",
-                 "demands", "kinfo", "gcap", "gdemand")
+                 "demands", "kinfo", "cls", "rmemo", "gcap", "gdemand")
 
     def __init__(self) -> None:
         self.budget = -1.0
@@ -274,14 +279,15 @@ class _GroupAllocState:
         # last stale pass (inputs to the group-level waterfill).
         self.gcap = 0.0
         self.gdemand = 0.0
-        # Per-task allocation columns as parallel lists in group-task
+        # Per-task allocation columns as parallel tuples in group-task
         # (residency/kinfo) order — positional access keeps the hot
-        # rates pass free of per-task dict lookups.
-        self.sm_list: list[float] = []
-        self.bwd_list: list[float] = []
+        # rates pass free of per-task dict lookups.  Tuples, because the
+        # allocation memo shares them between groups.
+        self.sm_list: tuple[float, ...] = ()
+        self.bwd_list: tuple[float, ...] = ()
         self.bw_demand_sum = 0.0
         self.share: Optional[float] = None
-        self.bw_list: list[float] = []
+        self.bw_list: tuple[float, ...] = ()
         # Per-task caches that survive recomputes: the raw SM demand
         # (a function of the task's kernel, its client's cap, and the
         # group budget — the caller rebuilds the state on budget change)
@@ -289,6 +295,13 @@ class _GroupAllocState:
         # for departed tasks are popped by the membership hook.
         self.demands: dict[int, float] = {}
         self.kinfo: dict[int, tuple] = {}
+        # Each task's kernel-class id: the interned ``(demand, kinfo)``
+        # pair, so the ordered id tuple names the group's contents.
+        self.cls: dict[int, int] = {}
+        # The memo's bandwidth-split table for the current contents,
+        # keyed by ``(share, overhead)``; ``None`` when the group has a
+        # repeated client and bypasses the memo.
+        self.rmemo: Optional[dict] = None
         # Per-group subtotals of sm_list/bw_list (in group-task order):
         # the device totals are the sum of these over groups, so a clean
         # group contributes O(1) work to the totals instead of O(tasks).
@@ -387,11 +400,27 @@ class SimulatedGPU:
         # group's share equals its unchanged demand, so the rates pass
         # can visit stale groups only.
         self._was_contended = True
+        # Allocation memo.  Groups of identical replicas recur with the
+        # same contents, so a dirty group's SM/demand columns are looked
+        # up by (SM budget, ordered kernel-class ids) before they are
+        # recomputed, and each entry holds a second table of bandwidth
+        # splits keyed by (group share, overhead factor).  Every stored
+        # float is the value the recompute produced from exactly those
+        # inputs, so a hit is bit-identical.  Class ids come from a
+        # counter that never restarts: after a clear, a resident task's
+        # old id still names exactly one class, so stale ids only miss.
+        self._memo: dict[tuple, tuple] = {}
+        self._kclass: dict[tuple, int] = {}
+        self._kclass_ids = itertools.count()
+        self._memo_size = 0
         #: Allocator invocations (every admit/complete/poke that changed
         #: the resident set or external capacity).
         self.alloc_calls = 0
         #: Full per-group demand recomputations (dirty groups).
         self.alloc_group_recomputes = 0
+        #: Dirty groups whose columns came from the allocation memo
+        #: (a subset of ``alloc_group_recomputes``).
+        self.alloc_memo_hits = 0
         #: Groups served entirely from cached state.
         self.alloc_group_reuses = 0
         #: Single-resident-kernel fast-path hits.
@@ -518,6 +547,7 @@ class SimulatedGPU:
             if st is not None:
                 st.demands.pop(task.tid, None)
                 st.kinfo.pop(task.tid, None)
+                st.cls.pop(task.tid, None)
             if not res:
                 del self._resident[gid]
                 del self._rgroups[gid]
@@ -726,47 +756,25 @@ class SimulatedGPU:
             visit = stale
         self._was_contended = contended
 
-        inf = float("inf")
         for gid in visit:
             st = states[gid]
             gs = group_share[gid] if group_share is not None else st.gdemand
             if st.share is not None and st.share == gs:
                 continue  # same split as last time: rates already exact
-            bwd_list = st.bwd_list
-            n_group = len(bwd_list)
-            if n_group >= _VEC_MIN_GROUP:
-                self._group_rates_vec(st, gs, rgroups[gid].overhead_factor,
-                                      resident[gid])
-                continue
-            # Same fast path within the group: a demand sum safely
-            # below the group share means every task gets its full
-            # demand.  (When bandwidth is uncontended gs *equals* the
-            # demand sum, so this intentionally falls through to the
-            # exact loop — equality is inside the drift margin.)
-            if _fits(st.bw_demand_sum, gs):
-                bw_list = bwd_list[:]
-            else:
-                bw_list = _waterfill_uniform_list(bwd_list, gs)
-            st.bw_list = bw_list
-            st.share = gs
             overhead = rgroups[gid].overhead_factor
-            bw_sum = 0.0
-            # kinfo and the allocation columns mirror the residency dict
-            # (all append on admit and evict on departure), so the five
-            # sequences iterate in lockstep — no per-task dict lookups.
-            for t, (bytes_moved, flops, sm_rate), smv, bw, bwdv in zip(
-                    resident[gid].values(), st.kinfo.values(),
-                    st.sm_list, bw_list, bwd_list):
-                bw_sum += bw
-                rate_c = inf
-                if flops > 0:
-                    rate_c = (sm_rate * smv / flops) * overhead
-                rate_m = inf
-                if bytes_moved > 0 and bwdv > 0:
-                    rate_m = bw / bytes_moved
-                rate = rate_c if rate_c < rate_m else rate_m
-                t.rate = 0.0 if rate == inf else rate
-            st.bw_sum = bw_sum
+            rmemo = st.rmemo
+            split = rmemo.get((gs, overhead)) if rmemo is not None else None
+            if split is None:
+                split = _group_rates(st, gs, overhead)
+                if rmemo is not None:
+                    self._memo_room()
+                    rmemo[(gs, overhead)] = split
+            st.bw_list, st.bw_sum, rates = split
+            st.share = gs
+            # The columns mirror the residency dict, so rates align with
+            # its tasks.
+            for t, r in zip(resident[gid].values(), rates):
+                t.rate = r
 
         # Device totals: sum the per-group subtotals in group order —
         # the same grouping and order the full path uses — so a clean
@@ -779,43 +787,13 @@ class SimulatedGPU:
         self._cur_sm_alloc = total_sm
         self._cur_bw_alloc = total_bw
 
-    def _group_rates_vec(self, st: _GroupAllocState, gs: float,
-                         overhead: float, res: dict) -> None:
-        """Vectorized within-group bandwidth split + rates (large groups).
-
-        Bit-identical to the scalar loop in ``_allocate_incremental``:
-        the waterfill's ``remaining`` sequence is reproduced with
-        ``np.subtract.accumulate`` (sequential, same order), the rate
-        math is the same elementwise operations with the same operand
-        grouping, and the ``bw_sum`` subtotal accumulates left-to-right
-        via ``np.add.accumulate``.  Only worth the ufunc dispatch
-        overhead above ``_VEC_MIN_GROUP`` resident tasks (e.g. MPS
-        groups with hundreds of streams); small groups take the scalar
-        loop.
-        """
-        bwd = np.asarray(st.bwd_list, dtype=np.float64)
-        if _fits(st.bw_demand_sum, gs):
-            bwa = bwd.copy()
-        else:
-            bwa = _waterfill_uniform_arr(bwd, gs)
-        st.bw_list = bwa.tolist()
-        st.share = gs
-        ki = np.array(list(st.kinfo.values()), dtype=np.float64)
-        bytes_a = ki[:, 0]
-        flops_a = ki[:, 1]
-        smrate_a = ki[:, 2]
-        sm = np.asarray(st.sm_list, dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rate_c = ((smrate_a * sm) / flops_a) * overhead
-            rate_m = bwa / bytes_a
-        rate_c = np.where(flops_a > 0, rate_c, np.inf)
-        rate_m = np.where((bytes_a > 0) & (bwd > 0), rate_m, np.inf)
-        rate = np.minimum(rate_c, rate_m)
-        rate[np.isinf(rate)] = 0.0
-        # kinfo mirrors the residency dict, so rows align with tasks.
-        for t, r in zip(res.values(), rate.tolist()):
-            t.rate = r
-        st.bw_sum = float(np.add.accumulate(bwa)[-1]) if len(bwa) else 0.0
+    def _memo_room(self) -> None:
+        """Account for one memo insert, clearing the memo when full."""
+        if self._memo_size >= _MEMO_MAX:
+            self._memo.clear()
+            self._kclass.clear()
+            self._memo_size = 0
+        self._memo_size += 1
 
     def _recompute_group(self, st: Optional[_GroupAllocState],
                          group_res: dict, budget: float,
@@ -831,39 +809,62 @@ class SimulatedGPU:
         plain float arithmetic over the group instead of a rebuild of
         every intermediate.  The state object itself is reused in place
         so caches holding a reference stay valid.
+
+        A group with no repeated client first looks its columns up in
+        the allocation memo by ``(budget, ordered kernel-class ids)``;
+        they are a pure function of exactly those inputs.  Repeated
+        clients bypass the memo, since the aggregate-cap shrink depends
+        on client identity.
         """
         spec = self.spec
         if st is None:
             st = _GroupAllocState()
         elif st.budget != budget:
             # The cached demands depend on the budget: drop them (the
-            # kernel constants don't, but keeping the two dicts in
-            # lockstep keeps the ordered-iteration contract trivial).
+            # kernel constants don't, but keeping the dicts in lockstep
+            # keeps the ordered-iteration contract trivial).
             st.demands.clear()
             st.kinfo.clear()
+            st.cls.clear()
         st.budget = budget
         st.overhead = overhead
         st.share = None  # membership changed: the rates pass must rerun
         demands = st.demands
         kinfo = st.kinfo
+        cls = st.cls
         group_tasks = group_res.values()
         if len(demands) != len(group_res):
-            # Both caches are subsets of the residency dict (the hook
+            # The caches are subsets of the residency dict (the hook
             # pops departures), so equal lengths mean every resident
             # task is cached and the fill pass can be skipped.
+            kclass = self._kclass
             for t in group_tasks:
                 tid = t.tid
                 if tid not in demands:
                     client: GpuClient = t.meta["client"]
                     kernel: Kernel = t.meta["kernel"]
-                    demands[tid] = float(min(kernel.max_sms, client.sm_cap,
-                                             budget))
+                    demand = float(min(kernel.max_sms, client.sm_cap,
+                                       budget))
                     # (bytes_moved, flops, flops_per_sm * efficiency):
                     # the cached product has the exact operand grouping
                     # the full path uses, so reuse stays bit-identical.
-                    kinfo[tid] = (kernel.bytes_moved, kernel.flops,
-                                  spec.flops_per_sm * kernel.efficiency)
+                    ki = (kernel.bytes_moved, kernel.flops,
+                          spec.flops_per_sm * kernel.efficiency)
+                    demands[tid] = demand
+                    kinfo[tid] = ki
+                    c = kclass.get((demand, ki))
+                    if c is None:
+                        self._memo_room()
+                        c = kclass[(demand, ki)] = next(self._kclass_ids)
+                    cls[tid] = c
         if no_repeats:
+            key = (budget, *cls.values())
+            hit = self._memo.get(key)
+            if hit is not None:
+                self.alloc_memo_hits += 1
+                (st.sm_list, st.sm_sum, st.bwd_list, st.bw_demand_sum,
+                 st.rmemo) = hit
+                return st
             # Every client has at most one resident task here, so each
             # aggregate equals the single demand, which is already
             # capped by ``sm_cap`` — the shrink below cannot fire.
@@ -896,8 +897,8 @@ class SimulatedGPU:
             total = float(np.add.accumulate(w)[-1])
             scale = min(1.0, budget / total) if total > 0 else 0.0
             sm = w * scale
-            st.sm_list = sm.tolist()
-            st.sm_sum = float(np.add.accumulate(sm)[-1])
+            sm_list = sm.tolist()
+            sm_sum = float(np.add.accumulate(sm)[-1])
             ki = np.array(list(kinfo.values()), dtype=np.float64)
             bytes_a = ki[:, 0]
             flops_a = ki[:, 1]
@@ -906,46 +907,54 @@ class SimulatedGPU:
                 v = bytes_a * ((smrate_a * sm) / flops_a)
             v = np.where(flops_a > 0, v, np.inf)
             v = np.where(bytes_a == 0, 0.0, v)
-            st.bwd_list = v.tolist()
+            bwd_list = v.tolist()
             # Adding the zero entries the scalar loop skips is exact:
             # x + 0.0 == x for the non-negative accumulator.
-            st.bw_demand_sum = float(np.add.accumulate(v)[-1])
-            return st
-        total = sum(work.values())
-        scale = min(1.0, budget / total) if total > 0 else 0.0
-        # One fused pass computes both columns: the SM share and the
-        # bandwidth that keeps memory off the critical path given that
-        # share (compute-rate-matched demand).  The two running sums are
-        # independent accumulators, so interleaving them preserves each
-        # scalar addition sequence exactly.  Skipping the zero entries
-        # in the demand sum is exact: adding 0.0 never changes a
-        # non-negative accumulator.  kinfo and work share insertion
-        # order (both track residency), so zipping keeps the pairing.
-        sm_list: list[float] = []
-        sm_append = sm_list.append
-        bwd_list: list[float] = []
-        bwd_append = bwd_list.append
-        sm_sum = 0.0
-        bsum = 0.0
-        inf = float("inf")
-        for d, (bytes_moved, flops, sm_rate) in zip(work.values(),
-                                                    kinfo.values()):
-            smv = d * scale
-            sm_append(smv)
-            sm_sum += smv
-            if bytes_moved == 0:
-                bwd_append(0.0)
-                continue
-            if flops > 0:
-                v = bytes_moved * (sm_rate * smv / flops)
-            else:
-                v = inf
-            bwd_append(v)
-            bsum += v
-        st.sm_list = sm_list
+            bsum = float(np.add.accumulate(v)[-1])
+        else:
+            total = sum(work.values())
+            scale = min(1.0, budget / total) if total > 0 else 0.0
+            # One fused pass computes both columns: the SM share and the
+            # bandwidth that keeps memory off the critical path given
+            # that share (compute-rate-matched demand).  The two running
+            # sums are independent accumulators, so interleaving them
+            # preserves each scalar addition sequence exactly.  Skipping
+            # the zero entries in the demand sum is exact: adding 0.0
+            # never changes a non-negative accumulator.  kinfo and work
+            # share insertion order (both track residency), so zipping
+            # keeps the pairing.
+            sm_list = []
+            sm_append = sm_list.append
+            bwd_list = []
+            bwd_append = bwd_list.append
+            sm_sum = 0.0
+            bsum = 0.0
+            inf = float("inf")
+            for d, (bytes_moved, flops, sm_rate) in zip(work.values(),
+                                                        kinfo.values()):
+                smv = d * scale
+                sm_append(smv)
+                sm_sum += smv
+                if bytes_moved == 0:
+                    bwd_append(0.0)
+                    continue
+                if flops > 0:
+                    v = bytes_moved * (sm_rate * smv / flops)
+                else:
+                    v = inf
+                bwd_append(v)
+                bsum += v
+        st.sm_list = tuple(sm_list)
         st.sm_sum = sm_sum
-        st.bwd_list = bwd_list
+        st.bwd_list = tuple(bwd_list)
         st.bw_demand_sum = bsum
+        if no_repeats:
+            st.rmemo = {}
+            self._memo_room()
+            self._memo[key] = (st.sm_list, sm_sum, st.bwd_list, bsum,
+                               st.rmemo)
+        else:
+            st.rmemo = None
         return st
 
     def _compute_full(self, tasks: list[FluidTask]):
@@ -1085,6 +1094,78 @@ class SimulatedGPU:
                         f"{sm_alloc[t.tid]!r} or bw {st.bw_list[i]!r} != "
                         f"{bw_alloc[t.tid]!r}"
                     )
+
+
+def _group_rates(st: _GroupAllocState, gs: float, overhead: float):
+    """Within-group bandwidth split and task rates for group share ``gs``.
+
+    Pure: returns ``(bw_list, bw_sum, rates)`` as tuples in group-task
+    order, computed from the group's cached columns only, so the
+    allocation memo can store the result under ``(gs, overhead)``.
+    """
+    bwd_list = st.bwd_list
+    if len(bwd_list) >= _VEC_MIN_GROUP:
+        return _group_rates_vec(st, gs, overhead)
+    # Same fast path as between groups: a demand sum safely below the
+    # group share means every task gets its full demand.  (When
+    # bandwidth is uncontended gs *equals* the demand sum, so this
+    # intentionally falls through to the exact loop — equality is
+    # inside the drift margin.)
+    if _fits(st.bw_demand_sum, gs):
+        bw_list = bwd_list
+    else:
+        bw_list = _waterfill_uniform_list(bwd_list, gs)
+    inf = float("inf")
+    rates = []
+    rates_append = rates.append
+    bw_sum = 0.0
+    # kinfo and the allocation columns mirror the residency dict (all
+    # append on admit and evict on departure), so the four sequences
+    # iterate in lockstep — no per-task dict lookups.
+    for (bytes_moved, flops, sm_rate), smv, bw, bwdv in zip(
+            st.kinfo.values(), st.sm_list, bw_list, bwd_list):
+        bw_sum += bw
+        rate_c = inf
+        if flops > 0:
+            rate_c = (sm_rate * smv / flops) * overhead
+        rate_m = inf
+        if bytes_moved > 0 and bwdv > 0:
+            rate_m = bw / bytes_moved
+        rate = rate_c if rate_c < rate_m else rate_m
+        rates_append(0.0 if rate == inf else rate)
+    return tuple(bw_list), bw_sum, tuple(rates)
+
+
+def _group_rates_vec(st: _GroupAllocState, gs: float, overhead: float):
+    """:func:`_group_rates` vectorized (large groups).
+
+    Bit-identical to the scalar loop: the waterfill's ``remaining``
+    sequence is reproduced with ``np.subtract.accumulate`` (sequential,
+    same order), the rate math is the same elementwise operations with
+    the same operand grouping, and the ``bw_sum`` subtotal accumulates
+    left-to-right via ``np.add.accumulate``.  Only worth the ufunc
+    dispatch overhead above ``_VEC_MIN_GROUP`` resident tasks (e.g. MPS
+    groups with hundreds of streams); small groups take the scalar loop.
+    """
+    bwd = np.asarray(st.bwd_list, dtype=np.float64)
+    if _fits(st.bw_demand_sum, gs):
+        bwa = bwd.copy()
+    else:
+        bwa = _waterfill_uniform_arr(bwd, gs)
+    ki = np.array(list(st.kinfo.values()), dtype=np.float64)
+    bytes_a = ki[:, 0]
+    flops_a = ki[:, 1]
+    smrate_a = ki[:, 2]
+    sm = np.asarray(st.sm_list, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate_c = ((smrate_a * sm) / flops_a) * overhead
+        rate_m = bwa / bytes_a
+    rate_c = np.where(flops_a > 0, rate_c, np.inf)
+    rate_m = np.where((bytes_a > 0) & (bwd > 0), rate_m, np.inf)
+    rate = np.minimum(rate_c, rate_m)
+    rate[np.isinf(rate)] = 0.0
+    bw_sum = float(np.add.accumulate(bwa)[-1]) if len(bwa) else 0.0
+    return tuple(bwa.tolist()), bw_sum, tuple(rate.tolist())
 
 
 def _hierarchical_waterfill(
@@ -1236,5 +1317,6 @@ def _waterfill(demand: dict, cap: dict, total: float) -> dict:
         for k in satisfied:
             alloc[k] = min(demand[k], cap[k])
             remaining -= alloc[k]
-        active = [k for k in active if k not in set(satisfied)]
+        done = set(satisfied)
+        active = [k for k in active if k not in done]
     return alloc

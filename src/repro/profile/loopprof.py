@@ -10,6 +10,7 @@ simulation's outcome, only observe it.
 from __future__ import annotations
 
 import json
+import os
 import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
@@ -22,20 +23,30 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Report schema identifier.
 SCHEMA = "repro-profile/1"
 
+#: The ``repro`` package directory: site names are relative to it.
+_REPRO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def site_name(cb: Callable) -> str:
     """Stable, human-readable identity for a callback site.
 
     Bound methods and plain functions resolve to their code object
     (``file:line:qualname``), which is identical across runs and across
-    processes for the same source tree; anything without a code object
-    (C callables, partials) falls back to its type/repr-derived name.
+    processes for the same source tree.  ``file`` is relative to the
+    ``repro`` package (``sim/fluid.py``), or the bare basename for code
+    outside it, so reports name no machine-specific path.  Anything
+    without a code object (C callables, partials) falls back to its
+    type/repr-derived name.
     """
     func = getattr(cb, "__func__", cb)
     code = getattr(func, "__code__", None)
     if code is not None:
         qual = getattr(func, "__qualname__", code.co_name)
-        return f"{code.co_filename}:{code.co_firstlineno}:{qual}"
+        path = os.path.abspath(code.co_filename)
+        rel = os.path.relpath(path, _REPRO_DIR)
+        if rel.startswith(".."):
+            rel = os.path.basename(path)
+        return f"{rel.replace(os.sep, '/')}:{code.co_firstlineno}:{qual}"
     return f"<{type(cb).__module__}.{type(cb).__qualname__}>"
 
 

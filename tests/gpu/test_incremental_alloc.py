@@ -16,7 +16,14 @@ staggering, across the three sharing topologies (flat MPS, MIG+MPS,
 vGPU fair-share), because the allocator's branches differ per topology:
 MPS exercises the aggregate-cap shrink, MIG the per-group bandwidth
 caps, and vGPU the fair SM policy with an overhead factor.
+
+The allocation memo (group columns looked up by kernel-class signature)
+only hits when group contents recur, which random-float shapes almost
+never produce; its tests draw shapes and MPS percentages from a small
+palette and replay each schedule twice on one device.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +36,8 @@ from repro.gpu import (
     MpsControlDaemon,
     SimulatedGPU,
 )
+from repro.gpu import device
+from repro.gpu.memory import MemoryPool
 from repro.gpu.vgpu import VgpuManager
 from repro.sim import Environment
 
@@ -231,3 +240,131 @@ def test_incremental_default_on_and_env_cross_check(monkeypatch):
     assert gpu.cross_check is True
     monkeypatch.setenv("REPRO_ALLOC_CHECK", "0")
     assert SimulatedGPU(Environment(), SPEC).cross_check is False
+
+
+# -------------------------------------------------------- allocation memo
+
+#: (flops, bytes moved, max SMs): compute-bound, memory-bound and
+#: bytes-free kernels, so recurring groups still mix rate regimes.
+SHAPES = [(2e10, 1e8, 40), (5e9, 4e9, 108), (1e10, 0.0, 14)]
+PERCENTAGES = [25, 50, 100]
+
+
+@st.composite
+def palette_schedule(draw, max_clients=4, max_kernels=10):
+    """Per-client MPS percentages plus launches from the shape palette.
+
+    The first two launches come from distinct clients at delay 0, so the
+    first multi-kernel allocation has no repeated client and a replay of
+    the schedule must hit the memo.
+    """
+    n_clients = draw(st.integers(min_value=2, max_value=max_clients))
+    pcts = [draw(st.sampled_from(PERCENTAGES)) for _ in range(n_clients)]
+    n_kernels = draw(st.integers(min_value=2, max_value=max_kernels))
+    launches = []
+    for i in range(n_kernels):
+        client = i if i < 2 else draw(
+            st.integers(min_value=0, max_value=n_clients - 1))
+        delay = 0.0 if i < 2 else draw(st.sampled_from([0.0, 0.001, 0.004]))
+        launches.append((client, delay, *draw(st.sampled_from(SHAPES))))
+    return pcts, launches
+
+
+def _palette_clients(topology, env, gpu, pcts):
+    if topology == "vgpu":
+        # One client per VM: with no context switches inside a VM, the
+        # replay reproduces the first pass's group contents exactly.
+        manager = VgpuManager(gpu, num_vms=len(pcts))
+        return [manager.vm(i).client(f"c{i}") for i in range(len(pcts))]
+    if topology == "mps":
+        daemon = MpsControlDaemon(gpu)
+        daemon.start()
+        daemons = [daemon]
+    else:
+        manager = MigManager(gpu)
+        env.run(until=env.process(manager.enable()))
+        daemons = [manager.create_instance(profile).enable_mps()
+                   for profile in ("1g.5gb", "2g.10gb")]
+    return [daemons[i % len(daemons)].client(
+                f"c{i}", active_thread_percentage=pct)
+            for i, pct in enumerate(pcts)]
+
+
+def _replay(topology, schedule, incremental=True):
+    """Run the schedule twice back to back on one device."""
+    pcts, launches = schedule
+    env = Environment()
+    gpu = SimulatedGPU(env, SPEC, incremental=incremental,
+                       cross_check=incremental)
+    clients = _palette_clients(topology, env, gpu, pcts)
+    finished = _drive(env, clients, launches)
+    finished += _drive(env, clients, launches)
+    return finished, gpu
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@given(schedule=palette_schedule())
+@settings(max_examples=20, deadline=None)
+def test_memo_hits_are_bit_identical(topology, schedule):
+    """Memo hits occur, repeated clients bypass the memo, and neither
+    the memo nor clearing it moves any completion time."""
+    bypassed = []
+    recompute = SimulatedGPU._recompute_group
+
+    def spy(self, state, group_res, budget, overhead, no_repeats):
+        hits = self.alloc_memo_hits
+        out = recompute(self, state, group_res, budget, overhead, no_repeats)
+        if not no_repeats:
+            bypassed.append(self.alloc_memo_hits == hits
+                            and out.rmemo is None)
+        return out
+
+    with mock.patch.object(SimulatedGPU, "_recompute_group", spy):
+        times, gpu = _replay(topology, schedule)
+    assert gpu.alloc_memo_hits > 0
+    assert all(bypassed)
+    full_times, _ = _replay(topology, schedule, incremental=False)
+    assert times == full_times          # exact float equality, no approx
+    with mock.patch.object(device, "_MEMO_MAX", 1):
+        cleared_times, _ = _replay(topology, schedule)
+    assert cleared_times == times
+
+
+def test_multi_stream_client_bypasses_memo():
+    """A client with several resident streams never takes the memo."""
+    env = Environment()
+    gpu = SimulatedGPU(env, SPEC, incremental=True, cross_check=True)
+    (client,) = _mps_setup(env, gpu, 1)
+    launches = [(0, 0.0, 2e10, 1e8, 40), (0, 0.0, 5e9, 4e9, 108)]
+    _drive(env, [client], launches)
+    _drive(env, [client], launches)
+    assert gpu.alloc_group_recomputes > 0
+    assert gpu.alloc_memo_hits == 0
+
+
+
+def test_memo_separates_budget_and_overhead():
+    """Groups with the same kernel classes but a different SM budget or
+    overhead factor must not share memoised columns or rates."""
+    def run(incremental):
+        env = Environment()
+        gpu = SimulatedGPU(env, SPEC, incremental=incremental,
+                           cross_check=incremental)
+        clients = []
+        for g, (budget, overhead) in enumerate([(14, 1.0), (28, 1.0),
+                                                (28, 0.5)]):
+            group = gpu.add_group(device.ShareGroup(
+                name=f"g{g}", device=gpu, sm_budget=budget, bw_cap=None,
+                memory=MemoryPool(SPEC.memory_bytes / 3, name=f"g{g}-mem"),
+                overhead_factor=overhead))
+            clients += [device.GpuClient(gpu, group, f"g{g}c{i}")
+                        for i in range(2)]
+        # Two 14-SM kernels per group: the 14-SM group halves them and
+        # the 28-SM groups do not, so identical classes need different
+        # columns; the last group's overhead needs different rates.
+        launches = [(i, 0.0, 2e10, 1e8, 14) for i in range(len(clients))]
+        return _drive(env, clients, launches), gpu
+
+    times, gpu = run(True)
+    assert gpu.alloc_memo_hits > 0
+    assert times == run(False)[0]

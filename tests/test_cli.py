@@ -247,6 +247,7 @@ def test_stats_flag_prints_summary_line(capsys):
     assert line.startswith("[stats]")
     assert "events/sec=" in line
     assert "alloc_calls=" in line
+    assert "memo_hits=" in line
     # The fig2 sweep runs real simulations in-process under --jobs 1,
     # so the collector must have seen a nonzero event count.
     assert "events=0 " not in line
