@@ -40,6 +40,7 @@ Schema (``repro-bench/8``)::
           "single": {..., "events_per_sec": float},
           "sharded": {..., "worker_rss_growth_kb": [int, ...]},
           "speedup": float,           # sharded / single events/sec
+          "speedup_measured": bool,   # False below SHARDED_MIN_CORES
           "gate": {"identical": bool, "speedup_floor": float,
                    "speedup_enforced": bool, "pass": bool}
         },

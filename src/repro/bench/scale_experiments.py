@@ -32,7 +32,8 @@ import time
 from typing import Optional
 
 __all__ = ["build_trace_serving", "trace_serving_metrics",
-           "trace_serving_scale", "scale_report", "sharded_scale_benchmark"]
+           "trace_serving_scale", "scale_report", "sharded_scale_benchmark",
+           "sharded_speedup_note"]
 
 #: The fixed fleet topology (see module docstring).  Batch size 1 with
 #: 16-token completions is the paper's fine-grained sharing regime: many
@@ -240,6 +241,8 @@ def sharded_scale_benchmark(quick: bool = False, seed: int = 0,
     count is an execution detail, not a model input), and on a
     multi-core runner (>= ``SHARDED_MIN_CORES`` cores) the sharded run
     must clear ``SHARDED_SPEEDUP_FLOOR``x the single-process events/sec.
+    Below that core count the ratio says nothing about the engine, so
+    ``speedup_measured`` is false and reports print it as unmeasured.
     Worker RSS growth is reported per shard so a leak in any one cell
     process is visible rather than averaged away.
     """
@@ -302,8 +305,20 @@ def sharded_scale_benchmark(quick: bool = False, seed: int = 0,
         "single": single,
         "sharded": sharded,
         "speedup": speedup,
+        "speedup_measured": cores >= SHARDED_MIN_CORES,
         "gate": gate,
     }
+
+
+def sharded_speedup_note(sharded: dict) -> str:
+    """One line on the sharded speedup of a ``scale.sharded`` report."""
+    if not sharded["speedup_measured"]:
+        return (f"sharded speedup: unmeasured "
+                f"({sharded['cores']} cores < {SHARDED_MIN_CORES})")
+    gate = sharded["gate"]
+    mode = "enforced" if gate["speedup_enforced"] else "advisory"
+    return (f"sharded speedup: {sharded['speedup']:.2f}x "
+            f"(floor {gate['speedup_floor']:.0f}x {mode})")
 
 
 def scale_report(quick: bool = False, seed: int = 0,

@@ -40,6 +40,7 @@ from repro.bench import (
     weightcache_ablation,
     write_bench_json,
 )
+from repro.bench.scale_experiments import sharded_speedup_note
 from repro.runner import ResultCache, SweepRunner, default_cache_dir
 from repro.telemetry import render_ascii_gantt, summarize
 from repro.workloads import CNN_ZOO
@@ -223,9 +224,7 @@ def _cmd_bench(args, ctx) -> str:
         ["sharded engine", "events", "wall s", "events/s"], rows,
         title=f"Sharded scale ({sh['n_cells']} cells, {sh['cores']} cores, "
               f"gate {'PASS' if sh_gate['pass'] else 'FAIL'})")
-    sharded_note = (f"sharded vs single speedup: {sh['speedup']:.2f}x "
-                    f"(floor {sh_gate['speedup_floor']:.0f}x "
-                    f"{'enforced' if sh_gate['speedup_enforced'] else 'advisory on this runner'})")
+    sharded_note = sharded_speedup_note(sh)
     res = report["resilience"]
     fleet, gate, blast = res["fleet"], res["gate"], res["blast_radius"]
     rows = [

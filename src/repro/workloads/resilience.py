@@ -19,7 +19,9 @@ toolkit:
 - **failover routing**: attempts go to the least-loaded available
   replica not already tried by the request; replicas whose admission is
   stalled (a reconfiguration drain or chaos ``stall_until`` window) are
-  used only as a last resort;
+  used only as a last resort.  Picks walk a replica index kept sorted by
+  ``(queue depth, replica index)``, so a pick visits the few replicas
+  ahead of its answer instead of scanning the fleet;
 - **admission control**: requests whose deadline is provably
   infeasible given current queue depths are shed at the door instead
   of queueing to death.
@@ -34,7 +36,9 @@ are bit-deterministic under a fixed seed.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -163,7 +167,7 @@ class Replica:
     """
 
     __slots__ = ("index", "server", "breaker", "outstanding",
-                 "incarnations")
+                 "incarnations", "_mark", "_key")
 
     def __init__(self, index: int, server: InferenceServer,
                  policy: SLOPolicy):
@@ -174,6 +178,10 @@ class Replica:
         #: Router-dispatched attempts currently in flight here.
         self.outstanding = 0
         self.incarnations = 1
+        #: Routing hook (adds this replica to its router's dirty set) and
+        #: this replica's entry in the router's index (None: not in it).
+        self._mark: Optional[Callable[[], None]] = None
+        self._key: Optional[tuple] = None
 
     @property
     def alive(self) -> bool:
@@ -192,6 +200,18 @@ class Replica:
         """Install a respawned server (the old one has crashed)."""
         self.server = server
         self.incarnations += 1
+        if self._mark is not None:
+            server._on_change = self._mark
+            self._mark()
+
+    def _watch(self, dirty: set) -> None:
+        """Report every depth/liveness change of this replica's servers
+        by adding it to ``dirty`` (one router's re-key set)."""
+        if self._mark is not None:
+            raise ValueError(f"replica {self.index} is already routed")
+        self._mark = partial(dirty.add, self)
+        if self.server is not None:
+            self.server._on_change = self._mark
 
 
 @dataclass(slots=True)
@@ -237,6 +257,16 @@ class ResilientRouter:
     ``est_service_seconds`` seeds the admission-control service-time
     estimate; once attempts complete, a running mean of observed
     attempt latencies takes over.
+
+    Routing index: ``_order`` holds one ``(queue depth, index, replica)``
+    entry per alive replica, sorted, so the least-loaded replica of any
+    eligible subset is the first of its entries in order.  Servers report
+    every depth or liveness change through their routing hook, which
+    adds the replica to ``_dirty``; each pick or admission check first
+    re-keys just those replicas.  Breakers and stalls are not indexed
+    (cooldowns and stall windows expire with the clock): they are
+    evaluated on the entries a walk actually visits.  Replica indexes
+    must be distinct — they break depth ties, so the order is total.
     """
 
     def __init__(self, env: Environment, replicas: list[Replica],
@@ -248,6 +278,9 @@ class ResilientRouter:
                      Callable[[ServedRequest], None]] = None):
         if not replicas:
             raise ValueError("a router needs at least one replica")
+        indices = [replica.index for replica in replicas]
+        if len(set(indices)) != len(indices):
+            raise ValueError(f"duplicate replica indices in {indices}")
         self.env = env
         self.replicas = replicas
         self.policy = policy if policy is not None else SLOPolicy()
@@ -261,6 +294,10 @@ class ResilientRouter:
         self._est_prior = est_service_seconds
         self._lat_sum = 0.0
         self._lat_count = 0
+        self._order: list[tuple] = []
+        self._dirty: set[Replica] = set(replicas)
+        for replica in replicas:
+            replica._watch(self._dirty)
 
     # -- client API ---------------------------------------------------------
     def submit(self, n_tokens: int = 20) -> ServedRequest:
@@ -300,61 +337,70 @@ class ResilientRouter:
         est = self._service_estimate()
         if est is None:
             return False  # nothing observed yet: admit optimistically
-        depths = [r.depth for r in self.replicas
-                  if r.alive and r.breaker.available(self.env.now)
-                  and not r.stalled]
-        if not depths:
-            return False  # nobody available: let dispatch decide
-        # The request runs behind min(depth) queued requests, each
-        # costing ~est seconds end to end at batch size 1.
-        projected = self.env.now + est * (min(depths) + 1)
-        return projected > request.deadline
+        if self._dirty:
+            self._rekey()
+        now = self.env.now
+        for depth, _index, replica in self._order:
+            if replica.breaker.available(now) and not replica.server.stalled:
+                # The request runs behind the least loaded ready queue,
+                # each request costing ~est seconds end to end at batch
+                # size 1.
+                return now + est * (depth + 1) > request.deadline
+        return False  # nobody available: let dispatch decide
 
     # -- routing ------------------------------------------------------------
+    def _rekey(self) -> None:
+        """Move every dirty replica to its current place in ``_order``."""
+        order = self._order
+        for replica in self._dirty:
+            old = replica._key
+            new = ((replica.server.queue_depth, replica.index, replica)
+                   if replica.alive else None)
+            if new != old:
+                if old is not None:
+                    del order[bisect_left(order, old)]
+                if new is not None:
+                    insort(order, new)
+                replica._key = new
+        self._dirty.clear()
+
     def _pick(self, request: ServedRequest) -> Optional[Replica]:
+        if self._dirty:
+            self._rekey()
+        order = self._order
+        if not order:
+            return None  # everyone dead
         now = self.env.now
-        tried = set(request.tried)
-        fresh = None
+        tried = request.tried
         fallback = None
         stalled = None
-        for replica in self.replicas:
-            if not replica.alive:
-                continue
+        # Walk in (depth, index) order: the first match of each class is
+        # that class's least-loaded replica.
+        for _depth, index, replica in order:
             if not replica.breaker.available(now):
                 continue
-            key = (replica.depth, replica.index)
-            if replica.stalled:
+            if replica.server.stalled:
                 # Deprioritise: a stalled replica admits no batches, so
                 # attempts (and especially hedges) sent there just queue
                 # behind the reconfiguration and blow the deadline.
-                if stalled is None or key < stalled[0]:
-                    stalled = (key, replica)
+                if stalled is None:
+                    stalled = replica
                 continue
-            if replica.index not in tried:
-                if fresh is None or key < fresh[0]:
-                    fresh = (key, replica)
-            if fallback is None or key < fallback[0]:
-                fallback = (key, replica)
-        # Prefer a replica the request has not visited (failover);
-        # with every candidate already tried, reuse the least loaded.
-        if fresh is not None:
-            return fresh[1]
+            # Prefer a replica the request has not visited (failover);
+            # with every candidate already tried, reuse the least loaded.
+            if index not in tried:
+                return replica
+            if fallback is None:
+                fallback = replica
         if fallback is not None:
-            return fallback[1]
+            return fallback
         if stalled is not None:
             # Everyone admitting work is dead or tried: queueing behind
             # a stall still beats failing the request outright.
-            return stalled[1]
-        # Every breaker open (or everyone dead): ignore breakers rather
-        # than failing outright — a sick replica beats none.
-        best = None
-        for replica in self.replicas:
-            if not replica.alive:
-                continue
-            key = (replica.depth, replica.index)
-            if best is None or key < best[0]:
-                best = (key, replica)
-        return best[1] if best is not None else None
+            return stalled
+        # Every breaker open: ignore breakers rather than failing
+        # outright — a sick replica beats none.
+        return order[0][2]
 
     def _dispatch(self, request: ServedRequest, replica: Replica,
                   is_hedge: bool = False) -> None:

@@ -51,6 +51,10 @@ _request_ids = itertools.count()
 _GAP_CHUNK = 4096
 
 
+def _unrouted() -> None:
+    """The routing hook of a server no router watches."""
+
+
 @dataclass(slots=True)
 class InferenceRequest:
     """One text-completion request."""
@@ -133,6 +137,9 @@ class InferenceServer:
         self._kernel_by_batch: dict[int, Kernel] = {}
         self.on_complete = on_complete
         self.on_failure = on_failure
+        #: Routing hook: called after every change to ``queue_depth`` or
+        #: ``alive`` (a router keeps its replica index current with it).
+        self._on_change: Callable[[], None] = _unrouted
         self.name = name if name is not None else client.name
         self._queue = Store(env, name="inference-requests")
         self.completed: list[InferenceRequest] = []
@@ -173,6 +180,7 @@ class InferenceServer:
                                    arrival_time=self.env.now)
         request.done = self.env.event()
         self._queue.put(request)
+        self._on_change()
         return request
 
     @property
@@ -243,26 +251,35 @@ class InferenceServer:
     def _serve(self):
         env = self.env
         try:
+            # Every get may pop a queued item at once, and every resume
+            # moves one into the batch (``self._active``): both change
+            # ``queue_depth``, so both call the routing hook.
             while True:
                 self._pending_get = get = self._queue.get()
+                self._on_change()
                 first = yield get
                 self._pending_get = None
                 self._active = batch = [first]
+                self._on_change()
                 deadline = env.now + self.batch_timeout
                 while (len(batch) < self.max_batch_size
                        and (self._queue.items or env.now < deadline)):
                     if self._queue.items:
                         self._pending_get = get = self._queue.get()
+                        self._on_change()
                         batch.append((yield get))
                         self._pending_get = None
+                        self._on_change()
                         continue
                     # Wait out the rest of the admission window.
                     yield env.timeout_pooled(max(0.0, deadline - env.now))
                     while (self._queue.items
                            and len(batch) < self.max_batch_size):
                         self._pending_get = get = self._queue.get()
+                        self._on_change()
                         batch.append((yield get))
                         self._pending_get = None
+                        self._on_change()
                     break
                 self._n_batches += 1
                 self._batch_size_sum += len(batch)
@@ -270,6 +287,7 @@ class InferenceServer:
                     self.batch_sizes.append(len(batch))
                 yield from self._run_batch(batch)
                 self._active = []
+                self._on_change()
         except Interrupt as interrupt:
             cause = interrupt.cause
             if not isinstance(cause, BaseException):
@@ -323,6 +341,7 @@ class InferenceServer:
                 for request in active:
                     self._fail_request(request, exc)
                 self._active = []
+                self._on_change()
                 return
             yield env.timeout_pooled(
                 self.llm.host_seconds_per_token * self.slowdown)
@@ -340,6 +359,7 @@ class InferenceServer:
                 else:
                     still_active.append(request)
             self._active = active = still_active
+            self._on_change()
             if not active:
                 break
 
@@ -354,6 +374,8 @@ class InferenceServer:
     def _die(self, cause: BaseException) -> None:
         """Crash cleanup: fail every owned request, tear down kernels."""
         self.alive = False
+        # A dead server leaves the routing index, whatever its depth.
+        self._on_change()
         pending = self._pending_get
         self._pending_get = None
         if pending is not None:

@@ -53,3 +53,24 @@ def test_results_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "sub"))
     assert results_dir() == str(tmp_path / "sub")
     assert os.path.isdir(results_dir())
+
+
+def test_sharded_speedup_below_min_cores_is_unmeasured(monkeypatch):
+    from repro.bench import scale_experiments as se
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = se.sharded_scale_benchmark(n_requests_per_cell=20, n_cells=2)
+    assert report["cores"] == 2
+    assert report["speedup_measured"] is False
+    assert report["gate"]["identical"] and report["gate"]["pass"]
+    assert se.sharded_speedup_note(report) == \
+        f"sharded speedup: unmeasured (2 cores < {se.SHARDED_MIN_CORES})"
+
+
+def test_sharded_speedup_note_prints_measured_ratio():
+    from repro.bench.scale_experiments import sharded_speedup_note
+
+    sharded = {"cores": 8, "speedup": 5.4321, "speedup_measured": True,
+               "gate": {"speedup_floor": 5.0, "speedup_enforced": True}}
+    assert sharded_speedup_note(sharded) == \
+        "sharded speedup: 5.43x (floor 5x enforced)"

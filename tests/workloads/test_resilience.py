@@ -12,6 +12,7 @@ from repro.workloads import (
     LlamaInference,
     Replica,
     ResilientRouter,
+    ServedRequest,
     ServingFleet,
     SLOPolicy,
 )
@@ -300,6 +301,122 @@ def test_reconfig_stall_fault_steers_first_attempts():
     env.run()
     assert all(r.outcome == "ok" for r in requests)
     assert fleet.stats.lost == 0
+
+
+# ------------------------------------------------------- routing index
+
+def settle(env):
+    """Let started servers pick up queued work (no kernel finishes)."""
+    env.run(until=env.now + 1e-6)
+
+
+def load(server, n):
+    """Queue ``n`` long requests directly on ``server``: depth ``n`` once
+    settled (batch size 1, so one runs and the rest wait)."""
+    for _ in range(n):
+        server.submit(n_tokens=200)
+
+
+def pick(router, tried=()):
+    env = router.env
+    request = ServedRequest(n_tokens=4, arrival_time=env.now,
+                            deadline=env.now + 60.0, done=env.event())
+    request.tried.extend(tried)
+    return router._pick(request).index
+
+
+def trip(replica, now):
+    for _ in range(replica.breaker.threshold):
+        replica.breaker.record_failure(now)
+
+
+def test_router_rejects_duplicate_replica_indices():
+    env, servers, router = make_router(n_servers=2)
+    replicas = [Replica(0, server, router.policy) for server in servers]
+    with pytest.raises(ValueError, match="duplicate replica indices"):
+        ResilientRouter(env, replicas, router.policy)
+
+
+def test_replica_cannot_join_two_routers():
+    env, _servers, router = make_router(n_servers=2)
+    with pytest.raises(ValueError, match="already routed"):
+        ResilientRouter(env, router.replicas, router.policy)
+
+
+def test_every_breaker_open_picks_least_loaded_alive_replica():
+    env, servers, router = make_router(n_servers=4)
+    settle(env)
+    servers[0].crash()                        # depth 0, but dead
+    servers[1].stall_until = env.now + 100.0  # depth 0, stalled
+    load(servers[2], 1)
+    load(servers[3], 2)
+    settle(env)
+    assert [r.depth for r in router.replicas] == [0, 0, 1, 2]
+    for replica in router.replicas:
+        trip(replica, env.now)
+    # Every breaker open: breakers and stalls are ignored, death is not.
+    assert pick(router) == 1
+    router.replicas[3].breaker.open_until = env.now  # cooldown elapsed
+    # One breaker available: a ready replica beats every open one.
+    assert pick(router) == 3
+    servers[3].stall_until = env.now + 100.0
+    # Both candidates now stalled: the open-breaker stalled replica is
+    # eligible only when every breaker is open, so the deeper one wins.
+    assert pick(router) == 3
+
+
+def test_respawned_replica_reenters_routing_at_its_new_depth():
+    env = Environment()
+    fleet = small_fleet(env, mode="mps")
+    router = fleet.router
+    settle(env)
+    for replica in fleet.replicas[1:]:
+        load(replica.server, 1)
+    dead = fleet.replicas[0]
+    dead.server.crash()
+    settle(env)
+    assert not dead.alive
+    assert pick(router) == 1  # the dead replica's depth 0 does not count
+    fleet._respawn(dead)
+    assert dead.alive and dead.incarnations == 2
+    assert pick(router) == 0  # back, at the new server's depth 0
+    load(dead.server, 2)
+    settle(env)
+    assert dead.depth == 2
+    assert pick(router) == 1  # the new server reports its depth too
+
+
+def test_equal_depths_break_ties_toward_lowest_untried_index():
+    env, servers, router = make_router(n_servers=4)
+    settle(env)
+    for server in servers:
+        load(server, 1)
+    settle(env)
+    assert pick(router) == 0
+    assert pick(router, tried=[1, 0]) == 2
+    assert pick(router, tried=[2]) == 0
+    assert pick(router, tried=[0, 1, 2, 3]) == 0  # all tried: least loaded
+    load(servers[0], 1)
+    settle(env)
+    assert pick(router, tried=[1]) == 2
+
+
+def test_hedge_lands_on_untried_ready_replica():
+    env, servers, router = make_router(n_servers=4, hedge_max_fraction=1.0)
+    settle(env)
+    request = router.submit(n_tokens=200)
+    assert request.tried == [0]
+    settle(env)
+    servers[1].stall_until = env.now + 100.0  # depth 0, stalled
+    trip(router.replicas[2], env.now)         # depth 0, breaker open
+    load(servers[3], 2)
+    settle(env)
+    # The first attempt's replica (depth 1, tried) is the least loaded
+    # ready one; the hedge must still go to the untried replica 3.
+    router._fire_hedge(request)
+    assert request.hedged
+    assert request.tried == [0, 3]
+    assert router.stats.hedges == 1
 
 
 # ------------------------------------------------------------ fleet faults
