@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -259,54 +259,65 @@ class GpuClient:
 
 
 class _GroupAllocState:
-    """Cached per-group allocation results (the incremental allocator).
+    """Everything the incremental allocator keeps for one resident group.
 
-    Valid while the group's membership signature, SM budget, and overhead
-    factor are unchanged; the bandwidth split additionally requires the
-    group's share of device bandwidth to be unchanged.  Every cached float
-    is exactly the value the full recompute would produce, because it *is*
-    that value — the cache memoises, it never delta-updates.
+    The pool's membership hook creates the record at the group's first
+    resident task, keeps its indexes current and drops it at the last;
+    the allocator recomputes the columns of *dirty* records only.  Every
+    cached float is exactly the value the full recompute would produce,
+    because it *is* that value — the cache memoises, never delta-updates.
     """
 
-    __slots__ = ("budget", "overhead", "sm_list", "bwd_list",
+    __slots__ = ("group", "res", "counts", "repeats", "dirty", "budget",
+                 "overhead", "gcap", "gdemand", "sm_list", "bwd_list",
                  "bw_demand_sum", "share", "bw_list", "sm_sum", "bw_sum",
-                 "demands", "kinfo", "cls", "rmemo", "gcap", "gdemand")
+                 "demands", "kinfo", "cls", "rmemo")
 
-    def __init__(self) -> None:
-        self.budget = -1.0
+    def __init__(self, group: ShareGroup) -> None:
+        self.group = group
+        # Resident tasks (tid -> task) in admission order, tasks per
+        # client, and clients with more than one: while that is zero the
+        # MPS aggregate-cap shrink cannot fire (and the memo applies).
+        self.res: dict[int, FluidTask] = {}
+        self.counts: dict[int, int] = {}
+        self.repeats = 0
+        # Membership changed, or the solo path bypassed the columns.
+        self.dirty = False
+        # The SM budget of the cached demands and columns.  A cap-policy
+        # group's is known up front, so the hook classifies its tasks at
+        # admission; a fair-policy group's is set by its recompute.
+        self.budget = float(group.sm_budget) if group.sm_policy == "cap" \
+            else -1.0
         self.overhead = 0.0
-        # Group-level bandwidth cap and cap-limited demand as of the
-        # last stale pass (inputs to the group-level waterfill).
+        # Bandwidth cap and cap-limited demand (group-level waterfill).
         self.gcap = 0.0
         self.gdemand = 0.0
-        # Per-task allocation columns as parallel tuples in group-task
-        # (residency/kinfo) order — positional access keeps the hot
-        # rates pass free of per-task dict lookups.  Tuples, because the
-        # allocation memo shares them between groups.
+        # Allocation columns: tuples (the memo shares them) in residency
+        # order, so the rates pass needs no per-task dict lookups, and
+        # their subtotals, so a clean group costs O(1) in the totals.
         self.sm_list: tuple[float, ...] = ()
         self.bwd_list: tuple[float, ...] = ()
-        self.bw_demand_sum = 0.0
-        self.share: Optional[float] = None
         self.bw_list: tuple[float, ...] = ()
-        # Per-task caches that survive recomputes: the raw SM demand
-        # (a function of the task's kernel, its client's cap, and the
-        # group budget — the caller rebuilds the state on budget change)
-        # and the kernel constants the bandwidth pass reads.  Entries
-        # for departed tasks are popped by the membership hook.
-        self.demands: dict[int, float] = {}
-        self.kinfo: dict[int, tuple] = {}
-        # Each task's kernel-class id: the interned ``(demand, kinfo)``
-        # pair, so the ordered id tuple names the group's contents.
-        self.cls: dict[int, int] = {}
-        # The memo's bandwidth-split table for the current contents,
-        # keyed by ``(share, overhead)``; ``None`` when the group has a
-        # repeated client and bypasses the memo.
-        self.rmemo: Optional[dict] = None
-        # Per-group subtotals of sm_list/bw_list (in group-task order):
-        # the device totals are the sum of these over groups, so a clean
-        # group contributes O(1) work to the totals instead of O(tasks).
+        self.bw_demand_sum = 0.0
         self.sm_sum = 0.0
         self.bw_sum = 0.0
+        self.share: Optional[float] = None
+        # Per-task caches in residency order: SM demand under ``budget``,
+        # kernel constants, and kernel-class id (the interned pair, so
+        # the ordered ids name the group's contents).
+        self.demands: dict[int, float] = {}
+        self.kinfo: dict[int, tuple] = {}
+        self.cls: dict[int, int] = {}
+        # The memo entry's bandwidth-split table, keyed by
+        # ``(share, overhead)``; ``None`` when a repeated client bypasses
+        # the memo.
+        self.rmemo: Optional[dict] = None
+
+
+def _first_admission(st: _GroupAllocState) -> int:
+    """Sort key of the group order: the pool admission sequence of the
+    group's earliest resident task."""
+    return next(iter(st.res.values()))._aseq
 
 
 class SimulatedGPU:
@@ -359,46 +370,21 @@ class SimulatedGPU:
         if cross_check is None:
             cross_check = os.environ.get("REPRO_ALLOC_CHECK", "") not in ("", "0")
         self.cross_check = cross_check
-        self._galloc: dict[int, _GroupAllocState] = {}
-        # Residency indexes maintained by the pool's membership hook
-        # (incremental mode only): resident tasks per group in admission
-        # order, the group objects themselves, and the set of groups
-        # whose membership changed since the last allocation.  They spare
-        # the allocator the O(#tasks) regroup-and-signature pass that
-        # previously dominated its cost at scale.
-        self._resident: dict[int, dict[int, FluidTask]] = {}
-        self._rgroups: dict[int, ShareGroup] = {}
-        self._dirty: set[int] = set()
-        # Per-group client-residency counts and the number of clients
-        # with more than one resident task: when that is zero, the MPS
-        # aggregate-cap shrink provably cannot fire and the recompute
-        # skips the whole by-client pass.
-        self._gclients: dict[int, dict[int, int]] = {}
-        self._grep: dict[int, int] = {}
-        # Cross-call caches for the incremental path.  With k resident
-        # groups and (typically) one dirty group per membership change,
-        # the allocator only visits stale groups: the first-task group
-        # ordering, the count of fair-policy groups, and each group's
-        # bandwidth cap and cap-limited demand are all carried between
-        # calls and invalidated by the membership hook (ordering, fair
-        # count) or by a pool-epoch / fair-count change (caps, demands —
-        # external capacity changes reach the allocator via poke, which
-        # bumps the pool epoch).
-        self._order: list[tuple[int, int]] = []
-        self._order_stale = True
+        # Kept by the pool's membership hook (incremental mode only):
+        # one allocation record per resident group (gid -> record), the
+        # records in the full path's group order (that of each group's
+        # first resident task), the dirty records, and the number of
+        # fair-policy groups.  A poke bumps the pool epoch; an epoch or
+        # fair-count change makes the next pass revisit every record.
+        self._groups: dict[int, _GroupAllocState] = {}
+        self._ordered: list[_GroupAllocState] = []
+        self._order_stale = False
+        self._dirty: list[_GroupAllocState] = []
         self._n_fair = 0
-        # Group-order-aligned list of the per-group state objects: the
-        # demand-sum and totals loops iterate it without dict lookups.
-        # Invalidated with the ordering, and whenever a state object is
-        # (re)created outside an ordering change (solo-path eviction).
-        self._ostates: list[_GroupAllocState] = []
-        self._ostates_stale = True
         self._seen_epoch = -1
         self._seen_n_fair = -1
-        # Whether the last incremental pass water-filled the group
-        # shares.  While consecutive passes stay uncontended, a clean
-        # group's share equals its unchanged demand, so the rates pass
-        # can visit stale groups only.
+        # Whether the last pass water-filled the group shares (see the
+        # rates pass of _allocate_incremental).
         self._was_contended = True
         # Allocation memo.  Groups of identical replicas recur with the
         # same contents, so a dirty group's SM/demand columns are looked
@@ -500,68 +486,83 @@ class SimulatedGPU:
 
     # -- the allocator ------------------------------------------------------------
     def _on_membership(self, task: FluidTask, added: bool) -> None:
-        """FluidPool membership hook (incremental mode only).
+        """FluidPool membership hook (incremental mode only): keep the
+        group's record in sync with the pool and mark it dirty.
 
-        Keeps ``_resident``/``_rgroups`` in sync with the pool and marks
-        the affected group dirty, so the allocator never has to rebuild
-        the grouping from the task list.  Per-group dicts preserve
-        admission order (inserts append, deletes keep order), matching
-        the full path's iteration contract.
+        Residency dicts keep admission order, the full path's iteration
+        contract.  A new group sorts last (its first task is the newest
+        admission) and a vanished one just leaves, so only a surviving
+        group that loses its first task, among several, forces a sort.
         """
         client = task.meta["client"]
         group: ShareGroup = client.group
         gid = group.gid
         cid = id(client)
+        st = self._groups.get(gid)
         if added:
-            res = self._resident.get(gid)
-            if res is None:
-                self._resident[gid] = res = {}
-                self._rgroups[gid] = group
-                self._gclients[gid] = {}
-                self._grep[gid] = 0
-                self._order_stale = True
+            if st is None:
+                st = self._groups[gid] = _GroupAllocState(group)
+                self._ordered.append(st)
                 if group.sm_policy == "fair":
                     self._n_fair += 1
-            res[task.tid] = task
-            counts = self._gclients[gid]
-            c = counts.get(cid, 0) + 1
-            counts[cid] = c
+            st.res[task.tid] = task
+            counts = st.counts
+            c = counts[cid] = counts.get(cid, 0) + 1
             if c == 2:
-                self._grep[gid] += 1
+                st.repeats += 1
+            if group.sm_policy == "cap":
+                self._classify(st, task)
         else:
-            res = self._resident[gid]
-            if next(iter(res)) == task.tid:
-                # The group's first resident task changes (or the group
-                # vanishes): the cached first-task ordering is stale.
-                self._order_stale = True
-            del res[task.tid]
-            counts = self._gclients[gid]
+            res = st.res
+            tid = task.tid
+            first = next(iter(res)) == tid
+            del res[tid]
+            counts = st.counts
             c = counts[cid] - 1
             if c:
                 counts[cid] = c
                 if c == 1:
-                    self._grep[gid] -= 1
+                    st.repeats -= 1
             else:
                 del counts[cid]
-            st = self._galloc.get(gid)
-            if st is not None:
-                st.demands.pop(task.tid, None)
-                st.kinfo.pop(task.tid, None)
-                st.cls.pop(task.tid, None)
+            st.demands.pop(tid, None)
+            st.kinfo.pop(tid, None)
+            st.cls.pop(tid, None)
             if not res:
-                del self._resident[gid]
-                del self._rgroups[gid]
-                del self._gclients[gid]
-                del self._grep[gid]
-                # A vanished group must not leave cached state behind:
-                # gids are never reused, and the solo path relies on the
-                # cache only holding currently-resident groups.
-                self._galloc.pop(gid, None)
+                del self._groups[gid]
+                self._ordered.remove(st)
+                if st.dirty:
+                    self._dirty.remove(st)
                 if group.sm_policy == "fair":
                     self._n_fair -= 1
-        self._dirty.add(gid)
+                return
+            if first and len(self._ordered) > 1:
+                self._order_stale = True
+        if not st.dirty:
+            st.dirty = True
+            self._dirty.append(st)
 
-    def _allocate(self, tasks: list[FluidTask]) -> None:
+    def _classify(self, st: _GroupAllocState, t: FluidTask) -> None:
+        """Cache ``t``'s SM demand under the record's budget, its kernel
+        constants and its interned kernel-class id."""
+        client: GpuClient = t.meta["client"]
+        kernel: Kernel = t.meta["kernel"]
+        demand = float(min(kernel.max_sms, client.sm_cap, st.budget))
+        # (bytes_moved, flops, flops_per_sm * efficiency): the cached
+        # product has the exact operand grouping the full path uses, so
+        # reuse stays bit-identical.
+        ki = (kernel.bytes_moved, kernel.flops,
+              self.spec.flops_per_sm * kernel.efficiency)
+        tid = t.tid
+        st.demands[tid] = demand
+        st.kinfo[tid] = ki
+        c = self._kclass.get((demand, ki))
+        if c is None:
+            self._memo_room()
+            c = self._kclass[(demand, ki)] = next(self._kclass_ids)
+        st.cls[tid] = c
+
+    def _allocate(self, tasks: Iterable[FluidTask]) -> None:
         """FluidPool callback: divide SMs and bandwidth over ``tasks``.
 
         Dispatches to the incremental path (per-group memoisation, solo
@@ -572,9 +573,9 @@ class SimulatedGPU:
         self._integrate()
         if self.incremental:
             if len(tasks) == 1:
-                self._allocate_solo(tasks[0])
+                self._allocate_solo(next(iter(tasks)))
             else:
-                self._allocate_incremental(tasks)
+                self._allocate_incremental()
             if self.cross_check:
                 self._verify_against_full(tasks)
         else:
@@ -628,98 +629,64 @@ class SimulatedGPU:
         if kernel.bytes_moved > 0 and bwd > 0:
             rate_m = bw / kernel.bytes_moved
         rate = min(rate_c, rate_m)
-        t.rate = 0.0 if rate == float("inf") else rate
-        # Invalidate the group's cached state: its membership no longer
-        # matches whatever the cache last saw.
-        self._galloc.pop(group.gid, None)
+        self.pool._r[t._slot] = 0.0 if rate == float("inf") else rate
+        # The record's columns no longer describe the rate just written:
+        # mark it dirty so the next incremental pass recomputes it.
+        st = self._groups[group.gid]
+        if not st.dirty:
+            st.dirty = True
+            self._dirty.append(st)
         self._cur_sm_alloc = sms
         self._cur_bw_alloc = bw
 
-    def _allocate_incremental(self, tasks: list[FluidTask]) -> None:
+    def _allocate_incremental(self) -> None:
         """Memoised allocation: recompute only dirty groups.
 
-        A group is *dirty* when its membership changed since the last
-        allocation (tracked by the pool's :meth:`_on_membership` hook)
-        or its SM budget or overhead factor moved; its bandwidth split
-        is additionally redone when the group-level waterfill moved its
-        share.  Clean
-        groups keep the rates their tasks already carry.  Every reused
-        float is the exact value a full recompute would produce, so the
-        two paths are bit-identical (enforced by ``cross_check`` and the
-        property tests).
+        A record is *dirty* when its membership changed since the last
+        pass or the solo path bypassed it; after a poke or a moved fair
+        split every record is revisited and recomputed if its budget or
+        overhead moved.  A split is redone when the group-level
+        waterfill moved the group's share.  Clean groups keep the rates
+        in their tasks' pool slots.  Every reused float is the exact
+        value a full recompute would produce (enforced by
+        ``cross_check`` and the property tests).
         """
         spec = self.spec
-        resident = self._resident
-        rgroups = self._rgroups
-        dirty = self._dirty
-        states = self._galloc
-        # The full path's ordering contract: groups appear in order of
-        # their first resident task.  tids are admission-monotonic and
-        # each residency dict is in admission order, so its first key is
-        # the group's earliest resident task — sorting by that tid
-        # reproduces the first-occurrence order over ``tasks`` without
-        # touching the task list.  The sorted list is cached; the
-        # membership hook flags it stale when a group appears, vanishes,
-        # or loses its first resident task.
+        ordered = self._ordered
         if self._order_stale:
-            self._order = sorted([(next(iter(res)), gid)
-                                  for gid, res in resident.items()])
+            ordered.sort(key=_first_admission)
             self._order_stale = False
-            self._ostates_stale = True
-        order = self._order
+        dirty = self._dirty
 
         n_fair = self._n_fair
         fair_share = spec.sms / n_fair if n_fair else 0.0
         pool_epoch = self.pool._epoch
         if pool_epoch != self._seen_epoch or n_fair != self._seen_n_fair:
-            # External capacity change (poke bumps the epoch) or a moved
-            # fair split: every group's budget/cap may have shifted, so
-            # every group is stale this round.
+            # Every group's budget/cap may have shifted: all are stale.
             self._seen_epoch = pool_epoch
             self._seen_n_fair = n_fair
-            stale = [gid for _, gid in order]
-            full_round = True
-        elif len(states) != len(resident):
-            # A state object is missing (solo-path eviction): ``states``
-            # is always a subset of ``resident``, so a length mismatch
-            # means some resident group has no cached state.  Visit all.
-            stale = [gid for _, gid in order]
+            stale = ordered
             full_round = True
         else:
-            # The membership hook marks every changed group dirty
-            # (including vanished ones, filtered out here), so the dirty
-            # set alone — usually one gid — names the stale groups.
-            stale = [g for g in dirty if g in resident]
+            stale = dirty  # usually one record
             full_round = False
-        reused = len(order) - len(stale)
 
-        for gid in stale:
-            g = rgroups[gid]
-            budget = fair_share if g.sm_policy == "fair" else float(g.sm_budget)
-            st = states.get(gid)
-            if (st is None or gid in dirty or st.budget != budget
+        recomputed = 0
+        for st in stale:
+            g = st.group
+            fair = g.sm_policy == "fair"
+            budget = fair_share if fair else float(g.sm_budget)
+            if (st.dirty or st.budget != budget
                     or st.overhead != g.overhead_factor):
-                if st is None:
-                    self._ostates_stale = True
-                st = self._recompute_group(st, resident[gid],
-                                           budget, g.overhead_factor,
-                                           self._grep[gid] == 0)
-                states[gid] = st
-                self.alloc_group_recomputes += 1
-            else:
-                reused += 1
+                self._recompute_group(st, budget, g.overhead_factor)
+                recomputed += 1
             cap = g.effective_bw_cap
-            if g.sm_policy == "fair":
+            if fair:
                 cap = min(cap, spec.bandwidth / max(1, n_fair))
             st.gcap = cap
             st.gdemand = min(st.bw_demand_sum, cap)
-        self.alloc_group_reuses += reused
-        dirty.clear()
-
-        if self._ostates_stale:
-            self._ostates = [states[gid] for _, gid in order]
-            self._ostates_stale = False
-        ostates = self._ostates
+        self.alloc_group_recomputes += recomputed
+        self.alloc_group_reuses += len(ordered) - recomputed
 
         # Group-level waterfill always reruns: any group's demand change
         # moves the shared water level.  O(#groups), not O(#tasks).
@@ -732,16 +699,15 @@ class SimulatedGPU:
         # ``remaining`` subtraction drifts by ulps and the last keys
         # can receive the drifted remainder instead of their demand.
         demand_sum = 0.0
-        for st in ostates:
+        for st in ordered:
             demand_sum += st.gdemand
         contended = not _fits(demand_sum, spec.bandwidth)
         if contended:
             # The waterfill iterates its demand dict; build both inputs
             # in the contract (first-task) order.
-            group_share = _waterfill(
-                {gid: states[gid].gdemand for _, gid in order},
-                {gid: states[gid].gcap for _, gid in order},
-                spec.bandwidth)
+            group_share = _waterfill({st: st.gdemand for st in ordered},
+                                     {st: st.gcap for st in ordered},
+                                     spec.bandwidth)
         else:
             group_share = None
 
@@ -751,17 +717,17 @@ class SimulatedGPU:
         # contended pass — or the first uncontended one after it — can
         # move a clean group's share, so those visit every group.
         if contended or self._was_contended or full_round:
-            visit = [gid for _, gid in order]
+            visit = ordered
         else:
             visit = stale
         self._was_contended = contended
 
-        for gid in visit:
-            st = states[gid]
-            gs = group_share[gid] if group_share is not None else st.gdemand
+        slots = self.pool._r
+        for st in visit:
+            gs = group_share[st] if group_share is not None else st.gdemand
             if st.share is not None and st.share == gs:
                 continue  # same split as last time: rates already exact
-            overhead = rgroups[gid].overhead_factor
+            overhead = st.group.overhead_factor
             rmemo = st.rmemo
             split = rmemo.get((gs, overhead)) if rmemo is not None else None
             if split is None:
@@ -772,16 +738,19 @@ class SimulatedGPU:
             st.bw_list, st.bw_sum, rates = split
             st.share = gs
             # The columns mirror the residency dict, so rates align with
-            # its tasks.
-            for t, r in zip(resident[gid].values(), rates):
-                t.rate = r
+            # its tasks; each lands straight in the task's pool slot.
+            for t, r in zip(st.res.values(), rates):
+                slots[t._slot] = r
+        for st in dirty:
+            st.dirty = False
+        dirty.clear()
 
         # Device totals: sum the per-group subtotals in group order —
         # the same grouping and order the full path uses — so a clean
         # group costs O(1) here instead of an O(#tasks) re-walk.
         total_sm = 0.0
         total_bw = 0.0
-        for st in ostates:
+        for st in ordered:
             total_sm += st.sm_sum
             total_bw += st.bw_sum
         self._cur_sm_alloc = total_sm
@@ -795,20 +764,13 @@ class SimulatedGPU:
             self._memo_size = 0
         self._memo_size += 1
 
-    def _recompute_group(self, st: Optional[_GroupAllocState],
-                         group_res: dict, budget: float,
-                         overhead: float,
-                         no_repeats: bool) -> _GroupAllocState:
-        """Full SM/demand recompute for one (dirty) group.
+    def _recompute_group(self, st: _GroupAllocState, budget: float,
+                         overhead: float) -> None:
+        """Full SM/demand recompute for one (dirty) group, in place.
 
-        ``group_res`` is the group's residency dict (tid → task) in
-        admission order.  Per-task SM demands and kernel constants
-        persist across recomputes (both depend only on the task and the
-        budget; a budget change clears them and the membership hook
-        evicts departed tasks), so a membership change costs one pass of
-        plain float arithmetic over the group instead of a rebuild of
-        every intermediate.  The state object itself is reused in place
-        so caches holding a reference stay valid.
+        Per-task demands, kernel constants and class ids persist across
+        recomputes (a budget change clears them), so a membership change
+        costs one pass of float arithmetic over the group at most.
 
         A group with no repeated client first looks its columns up in
         the allocation memo by ``(budget, ordered kernel-class ids)``;
@@ -816,47 +778,28 @@ class SimulatedGPU:
         clients bypass the memo, since the aggregate-cap shrink depends
         on client identity.
         """
-        spec = self.spec
-        if st is None:
-            st = _GroupAllocState()
-        elif st.budget != budget:
+        if st.budget != budget:
             # The cached demands depend on the budget: drop them (the
             # kernel constants don't, but keeping the dicts in lockstep
             # keeps the ordered-iteration contract trivial).
             st.demands.clear()
             st.kinfo.clear()
             st.cls.clear()
-        st.budget = budget
+            st.budget = budget
         st.overhead = overhead
         st.share = None  # membership changed: the rates pass must rerun
         demands = st.demands
         kinfo = st.kinfo
         cls = st.cls
-        group_tasks = group_res.values()
-        if len(demands) != len(group_res):
-            # The caches are subsets of the residency dict (the hook
-            # pops departures), so equal lengths mean every resident
-            # task is cached and the fill pass can be skipped.
-            kclass = self._kclass
+        group_tasks = st.res.values()
+        if len(demands) != len(group_tasks):
+            # Unclassified tasks (a fair-policy group's admissions since
+            # its last recompute, or all after a budget change) are a
+            # suffix of the residency order: the caches stay aligned.
             for t in group_tasks:
-                tid = t.tid
-                if tid not in demands:
-                    client: GpuClient = t.meta["client"]
-                    kernel: Kernel = t.meta["kernel"]
-                    demand = float(min(kernel.max_sms, client.sm_cap,
-                                       budget))
-                    # (bytes_moved, flops, flops_per_sm * efficiency):
-                    # the cached product has the exact operand grouping
-                    # the full path uses, so reuse stays bit-identical.
-                    ki = (kernel.bytes_moved, kernel.flops,
-                          spec.flops_per_sm * kernel.efficiency)
-                    demands[tid] = demand
-                    kinfo[tid] = ki
-                    c = kclass.get((demand, ki))
-                    if c is None:
-                        self._memo_room()
-                        c = kclass[(demand, ki)] = next(self._kclass_ids)
-                    cls[tid] = c
+                if t.tid not in demands:
+                    self._classify(st, t)
+        no_repeats = st.repeats == 0
         if no_repeats:
             key = (budget, *cls.values())
             hit = self._memo.get(key)
@@ -864,7 +807,7 @@ class SimulatedGPU:
                 self.alloc_memo_hits += 1
                 (st.sm_list, st.sm_sum, st.bwd_list, st.bw_demand_sum,
                  st.rmemo) = hit
-                return st
+                return
             # Every client has at most one resident task here, so each
             # aggregate equals the single demand, which is already
             # capped by ``sm_cap`` — the shrink below cannot fire.
@@ -955,9 +898,8 @@ class SimulatedGPU:
                                st.rmemo)
         else:
             st.rmemo = None
-        return st
 
-    def _compute_full(self, tasks: list[FluidTask]):
+    def _compute_full(self, tasks: Iterable[FluidTask]):
         """The original one-shot allocation (reference implementation).
 
         Pure: returns ``(sm_alloc, bw_alloc, rates, total_sm, total_bw)``
@@ -1063,7 +1005,7 @@ class SimulatedGPU:
 
         return sm_alloc, bw_alloc, rates, total_sm, total_bw
 
-    def _verify_against_full(self, tasks: list[FluidTask]) -> None:
+    def _verify_against_full(self, tasks: Iterable[FluidTask]) -> None:
         """Cross-check: assert the incremental result equals the oracle."""
         sm_alloc, bw_alloc, rates, total_sm, total_bw = \
             self._compute_full(tasks)
@@ -1080,12 +1022,15 @@ class SimulatedGPU:
                 f"sm {self._cur_sm_alloc!r} != {total_sm!r} or "
                 f"bw {self._cur_bw_alloc!r} != {total_bw!r}"
             )
-        for gid, res in self._resident.items():
-            st = self._galloc.get(gid)
-            if st is None:
-                continue  # solo path keeps no per-group state
+        by_group: dict[int, list[FluidTask]] = {}
+        for t in tasks:
+            by_group.setdefault(t.meta["client"].group.gid, []).append(t)
+        self._verify_indexes(by_group)
+        for st in self._ordered:
+            if st.dirty:
+                continue  # solo path wrote the rate; columns are stale
             # Allocation columns are positional in residency order.
-            for i, t in enumerate(res.values()):
+            for i, t in enumerate(st.res.values()):
                 if (st.sm_list[i] != sm_alloc[t.tid]
                         or st.bw_list[i] != bw_alloc[t.tid]):
                     raise AllocatorMismatch(
@@ -1094,6 +1039,57 @@ class SimulatedGPU:
                         f"{sm_alloc[t.tid]!r} or bw {st.bw_list[i]!r} != "
                         f"{bw_alloc[t.tid]!r}"
                     )
+
+    def _verify_indexes(self, by_group: dict[int, list[FluidTask]]) -> None:
+        """Cross-check the hook-maintained records against a recount
+        from the task list (``by_group``: gid -> tasks, both in
+        admission order), so an index fails at the call where it goes
+        stale rather than when a rate finally diverges."""
+        def check(ok: bool, what: str) -> None:
+            if not ok:
+                raise AllocatorMismatch(f"{self.name}: stale index: {what}")
+
+        want = list(by_group)
+        got = [st.group.gid for st in self._ordered]
+        if self._order_stale:  # re-sorted by the next incremental pass
+            want.sort()
+            got.sort()
+        check(got == want and len(self._groups) == len(want),
+              f"group order {got} != first-resident order {want}")
+        check(self._n_fair == sum(st.group.sm_policy == "fair"
+                                  for st in self._ordered), "fair count")
+        check(sorted(map(id, self._dirty))
+              == sorted(id(st) for st in self._ordered if st.dirty),
+              "dirty list")
+        owner: dict[int, tuple] = {}
+        for gid, ts in by_group.items():
+            st = self._groups[gid]
+            tids = [t.tid for t in ts]
+            counts = dict(Counter(id(t.meta["client"]) for t in ts))
+            check(list(st.res) == tids and st.counts == counts
+                  and st.repeats == sum(c > 1 for c in counts.values()),
+                  f"residency of {st.group.name!r}")
+            # Classified tasks are a prefix of the residency order (all
+            # of it for a cap-policy group), and each class id names
+            # exactly the task's (demand, kernel constants): ids are
+            # never reused, and a class re-interned after a memo clear
+            # only gets a newer one.
+            n = len(st.cls)
+            check(list(st.cls) == list(st.demands) == list(st.kinfo)
+                  == tids[:n]
+                  and (n == len(ts) or st.group.sm_policy == "fair"),
+                  f"classes of {st.group.name!r}")
+            for t in ts[:n]:
+                k: Kernel = t.meta["kernel"]
+                key = (float(min(k.max_sms, t.meta["client"].sm_cap,
+                                 st.budget)),
+                       (k.bytes_moved, k.flops,
+                        self.spec.flops_per_sm * k.efficiency))
+                c = st.cls[t.tid]
+                check((st.demands[t.tid], st.kinfo[t.tid]) == key
+                      and owner.setdefault(c, key) == key
+                      and self._kclass.get(key, c) >= c,
+                      f"class of task {t.tid}")
 
 
 def _group_rates(st: _GroupAllocState, gs: float, overhead: float):

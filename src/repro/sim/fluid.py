@@ -17,28 +17,24 @@ bandwidth share is recomputed by water-filling on every membership change
 
 Storage layout
 --------------
-Resident work/threshold live in dense parallel lists indexed by a
-per-task *slot* (swap-remove on eviction keeps them dense), with
-``FluidTask.work`` as a property over the slot so allocators and
-observers see exactly the attribute-era interface.  ``FluidTask.rate``
-stays a plain attribute — allocators write it once per task per
-membership change, so routing those writes through a descriptor would
-tax every allocator invocation — and the pool snapshots rates into the
-dense slot list right after each allocator run (rates only change
-inside allocator invocations, so the snapshot stays valid between
-membership changes).  The two
-per-event hot loops — draining progress in :meth:`FluidPool._advance`
-and scanning for the earliest completion in
+Resident work, rate and drain threshold live in dense parallel lists
+indexed by a per-task *slot* (swap-remove on eviction keeps them
+dense).  ``FluidTask.work`` and ``FluidTask.rate`` are properties over
+the task's slot, so allocators and observers see a plain-attribute
+interface, while an allocator that knows the layout (the GPU device)
+writes rates straight into ``pool._r`` by slot.  The two per-event hot loops — draining progress in
+:meth:`FluidPool._advance` and scanning for the earliest completion in
 :meth:`FluidPool._schedule_wakeup` — are *adaptive*: below
-``_VEC_MIN`` resident tasks they run the original scalar loops over the
-slot lists (numpy's per-call dispatch overhead exceeds the loop cost
-for small pools), at or above it they run vectorized numpy kernels.
-The per-task float math is identical in both regimes (same elementwise
-operations, and the wakeup horizon is an order-free ``min``), so which
-regime ran is unobservable in any deterministic payload; only the
-``work_drained`` *total* differs in accumulation order on the vector
-path (pairwise ``np.add.reduce``), and that total is tolerance-checked
-by the conservation tests, never part of a bit-exact payload.
+``_VEC_MIN`` resident tasks they run scalar loops over the slot lists
+(numpy's per-call dispatch overhead exceeds the loop cost for small
+pools), at or above it they run vectorized numpy kernels over ndarray
+mirrors of the lists.  The per-task float math is identical in both
+regimes (same elementwise operations, and the wakeup horizon is an
+order-free ``min``), so which regime ran is unobservable in any
+deterministic payload; only the ``work_drained`` *total* differs in
+accumulation order on the vector path (pairwise ``np.add.reduce``), and
+that total is tolerance-checked by the conservation tests, never part
+of a bit-exact payload.
 """
 
 from __future__ import annotations
@@ -67,7 +63,7 @@ _task_ids = itertools.count()
 class FluidTask:
     """A unit of divisible work progressing at a pool-assigned rate."""
 
-    __slots__ = ("_work", "total_work", "rate", "done", "meta", "tid",
+    __slots__ = ("_work", "total_work", "_rate", "done", "meta", "tid",
                  "_pool", "_thresh", "_slot", "_aseq")
 
     def __init__(self, env: Environment, work: float, meta: Any = None):
@@ -80,12 +76,8 @@ class FluidTask:
         self._thresh = _EPS * max(self.total_work, 1.0)
         #: Remaining work, in abstract units (slot-resident while pooled).
         self._work = float(work)
-        #: Current progress rate (units/second); set by the pool allocator.
-        #: Deliberately a plain attribute, not a slot property: allocator
-        #: hot loops write it for every resident task on every membership
-        #: change, and the pool re-snapshots its dense rate list after
-        #: each allocator run instead.
-        self.rate = 0.0
+        # Progress rate while not resident (always 0.0 once evicted).
+        self._rate = 0.0
         #: Fires (with this task) when the work drains.
         self.done: Event = env.event(name="fluid-done")
         self.meta = meta
@@ -113,6 +105,24 @@ class FluidTask:
                 pool._w_arr[self._slot] = value
 
     @property
+    def rate(self) -> float:
+        """Progress rate (units/s) set by the allocator; slot-resident."""
+        pool = self._pool
+        if pool is None:
+            return self._rate
+        return pool._r[self._slot]
+
+    @rate.setter
+    def rate(self, value: float) -> None:
+        pool = self._pool
+        if pool is None:
+            self._rate = value
+        else:
+            pool._r[self._slot] = value
+            if pool._r_sync:
+                pool._r_arr[self._slot] = value
+
+    @property
     def progress(self) -> float:
         """Fraction of work completed, in [0, 1]."""
         if self.total_work == 0:
@@ -138,8 +148,9 @@ class FluidPool:
     env:
         Simulation environment.
     allocator:
-        Called with the list of resident tasks (sorted by admission order)
-        whenever membership changes; must set ``task.rate`` on each.  Rates
+        Called with a view of the resident tasks (in admission order)
+        whenever membership changes; must set ``task.rate`` on each (or
+        write ``pool._r`` by ``task._slot``, which is the same store).  Rates
         must be non-negative and may be zero (a starved task simply does
         not progress).
     on_change:
@@ -167,9 +178,7 @@ class FluidPool:
         # Dense parallel slot lists (see module docstring): _slot_task[i]
         # is the task in slot i; _w/_r/_th hold its remaining work, rate,
         # and drain threshold.  Eviction swap-removes the last slot into
-        # the hole, so [0:n) is always dense.  _r is a snapshot of the
-        # tasks' ``rate`` attributes, rebuilt once per allocator run
-        # (rates never change between membership changes).
+        # the hole, so [0:n) is always dense.
         self._w: list[float] = []
         self._r: list[float] = []
         self._th: list[float] = []
@@ -235,12 +244,11 @@ class FluidPool:
             # Drains instantly: complete without ever becoming resident
             # (residency would double-fire ``done`` on the next advance).
             task._work = 0.0
-            self._finish(task)
+            task.done.succeed(task)
             return task
         slot = task._slot = len(self._slot_task)
-        task.rate = 0.0  # not progressing until the allocator assigns one
         self._w.append(task._work)
-        self._r.append(0.0)
+        self._r.append(0.0)  # no progress until the allocator runs
         self._th.append(task._thresh)
         self._slot_task.append(task)
         # Extend any in-sync mirror in place; on capacity exhaustion
@@ -284,8 +292,6 @@ class FluidPool:
         self._members_rev += 1
         if self.on_change is not None:
             self.on_change(task, False)
-        task._pool = None
-        task.rate = 0.0
         self._reallocate()
         return task._work
 
@@ -341,9 +347,12 @@ class FluidPool:
         return arr[:n]
 
     def _evict_slot(self, task: FluidTask) -> None:
-        """Swap-remove ``task``'s slot, writing its work back to the task."""
+        """Swap-remove ``task``'s slot and detach the task from the pool
+        (its work is written back; its rate drops to zero)."""
         i = task._slot
         task._work = self._w[i]
+        task._rate = 0.0
+        task._pool = None
         last = len(self._slot_task) - 1
         if i != last:
             self._w[i] = self._w[last]
@@ -427,13 +436,7 @@ class FluidPool:
                 self._members_rev += 1
                 if on_change is not None:
                     on_change(task, False)
-                self._finish(task)
-
-    def _finish(self, task: FluidTask) -> None:
-        task._pool = None
-        task.rate = 0.0
-        task._slot = -1
-        task.done.succeed(task)
+                task.done.succeed(task)
 
     def _reallocate(self) -> None:
         if not self._tasks:
@@ -450,12 +453,9 @@ class FluidPool:
                 return  # the scheduled completion wakeup is still exact
             self._schedule_wakeup()
             return
-        self.allocator(list(self._tasks.values()))
-        # Snapshot the freshly assigned rates into slot order.  Rates
-        # only change inside allocator invocations (verified contract:
-        # every writer in the tree is an allocator callback), so this
-        # one O(n) gather replaces a descriptor write per rate set.
-        self._r = [t.rate for t in self._slot_task]
+        self.allocator(self._tasks.values())
+        # The allocator may have written ``_r`` directly, behind the
+        # ndarray mirror.
         self._r_sync = False
         self._alloc_rev = self._members_rev
         self._alloc_epoch = self._epoch

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.sim.core import Event, Environment, SimulationError, URGENT
+from repro.sim.core import PENDING, Event, Environment, SimulationError, URGENT
 
 __all__ = ["Interrupt", "Process"]
 
@@ -60,6 +60,9 @@ class Process(Event):
 
         Interrupting a finished process is an error; interrupting a process
         more than once before it handles the first interrupt queues them.
+        A queued interrupt that lands after the process has finished
+        (typically because it handled an earlier one by returning) is
+        dropped.
         """
         if self.triggered:
             raise SimulationError(f"{self.name}: cannot interrupt a finished process")
@@ -83,6 +86,16 @@ class Process(Event):
 
     # -- stepping -------------------------------------------------------------
     def _resume(self, trigger: Event) -> None:
+        waiting = self._waiting_on
+        if waiting is not trigger:
+            # Not the event we yielded: the bootstrap, or an interrupt.
+            if self._value is not PENDING:
+                return  # an interrupt landing after the process finished
+            if waiting is not None and not waiting.processed:
+                # The interrupt landed while we wait on an event yielded
+                # after interrupt() ran (e.g. the bootstrap was still
+                # queued): detach, or that event would resume us twice.
+                waiting.callbacks.remove(self._resume)
         self._waiting_on = None
         event: Event | None = trigger
         while True:

@@ -77,7 +77,7 @@ class ServingFleet:
         self.respawn_seconds = respawn_seconds
         self.policy = policy if policy is not None else SLOPolicy()
         self.stats = stats if stats is not None else ResilienceStats()
-        self.device = SimulatedGPU(env, spec, cross_check=False)
+        self.device = SimulatedGPU(env, spec)
         self.llm = LlamaInference(LLAMA2_7B,
                                   InferenceRuntime(dtype_bytes=dtype_bytes))
         #: Per-ECC-fault blast radius: (domain, killed, resident before).
@@ -534,7 +534,7 @@ class AutoscaledServingFleet:
         #: ``function -> (until, offered at onset, factor)``: the offered
         #: counter inflates by ``factor`` relative to onset.
         self._sensor_corrupt: dict[str, tuple[float, int, float]] = {}
-        self.device = SimulatedGPU(env, spec, cross_check=False)
+        self.device = SimulatedGPU(env, spec)
         self.daemon = MpsControlDaemon(self.device)
         self.daemon.start()
         self.llm = LlamaInference(LLAMA2_7B,

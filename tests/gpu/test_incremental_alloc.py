@@ -15,7 +15,12 @@ Schedules are randomised over client counts, kernel shapes, and launch
 staggering, across the three sharing topologies (flat MPS, MIG+MPS,
 vGPU fair-share), because the allocator's branches differ per topology:
 MPS exercises the aggregate-cap shrink, MIG the per-group bandwidth
-caps, and vGPU the fair SM policy with an overhead factor.
+caps, and vGPU the fair SM policy with an overhead factor.  Small
+schedules never reach the resident counts at which the pool's hot loops
+and the allocator's per-group math switch to numpy, so the ``*_regimes``
+tests replay them with both thresholds forced to each side (see
+``tests/regimes.py``, which also checks the pool's slot layout after
+every reallocation and eviction).
 
 The allocation memo (group columns looked up by kernel-class signature)
 only hits when group contents recur, which random-float shapes almost
@@ -40,8 +45,12 @@ from repro.gpu import device
 from repro.gpu.memory import MemoryPool
 from repro.gpu.vgpu import VgpuManager
 from repro.sim import Environment
+from tests.regimes import REGIMES, forced_regime
 
 SPEC = A100_40GB
+
+regimes = pytest.mark.parametrize("regime", [t for _, t in REGIMES],
+                                  ids=[i for i, _ in REGIMES])
 
 
 @st.composite
@@ -128,56 +137,81 @@ def test_incremental_matches_full_recompute(topology, schedule):
     assert gpu.alloc_calls > 0
 
 
+def _cancel_run(schedule, incremental):
+    """Admit/cancel/poke churn on flat MPS; returns the event log."""
+    n_clients, launches = schedule
+    env = Environment()
+    gpu = SimulatedGPU(env, SPEC, incremental=incremental,
+                       cross_check=incremental)
+    clients = _mps_setup(env, gpu, n_clients)
+    events = []
+
+    def submit(env, client, delay, kernel, cancel_after):
+        yield env.timeout(delay)
+        done = client.launch(kernel)
+        # Spatial groups admit immediately, so the newest resident
+        # task with our client is ours.
+        mine = [t for t in gpu.pool.tasks
+                if t.meta.get("client") is client]
+        task = mine[-1] if mine else None
+        if cancel_after is not None and task is not None:
+            yield env.timeout(cancel_after)
+            if not done.triggered and task._pool is gpu.pool:
+                gpu.pool.cancel(task)
+                events.append(("cancel", env.now))
+                return
+        yield done
+        events.append(("done", env.now))
+
+    def poker(env):
+        # External capacity-change notifications interleaved with
+        # the admit/cancel churn (the incremental path must survive
+        # forced reallocations of an unchanged membership).
+        for _ in range(3):
+            yield env.timeout(0.07)
+            gpu.pool.poke()
+
+    procs = []
+    for i, (c, delay, flops, nbytes, max_sms) in enumerate(launches):
+        kernel = Kernel(flops=flops, bytes_moved=nbytes,
+                        max_sms=max_sms, name=f"k{i}")
+        cancel_after = 0.01 if i % 3 == 0 else None
+        procs.append(env.process(
+            submit(env, clients[c], delay, kernel, cancel_after)))
+    env.process(poker(env))
+    env.run(until=env.all_of(procs))
+    return events, env.now
+
+
 @given(schedule=launch_schedule())
 @settings(max_examples=25, deadline=None)
 def test_cancellation_keeps_paths_identical(schedule):
     """Admit/cancel churn (eviction mid-flight) stays bit-identical."""
-    n_clients, launches = schedule
+    assert _cancel_run(schedule, True) == _cancel_run(schedule, False)
 
-    def run(incremental):
-        env = Environment()
-        gpu = SimulatedGPU(env, SPEC, incremental=incremental,
-                           cross_check=incremental)
-        clients = _mps_setup(env, gpu, n_clients)
-        events = []
 
-        def submit(env, client, delay, kernel, cancel_after):
-            yield env.timeout(delay)
-            done = client.launch(kernel)
-            # Spatial groups admit immediately, so the newest resident
-            # task with our client is ours.
-            mine = [t for t in gpu.pool.tasks
-                    if t.meta.get("client") is client]
-            task = mine[-1] if mine else None
-            if cancel_after is not None and task is not None:
-                yield env.timeout(cancel_after)
-                if not done.triggered and task._pool is gpu.pool:
-                    gpu.pool.cancel(task)
-                    events.append(("cancel", env.now))
-                    return
-            yield done
-            events.append(("done", env.now))
+@regimes
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@given(schedule=launch_schedule(max_clients=6, max_kernels=14))
+@settings(max_examples=10, deadline=None)
+def test_incremental_matches_full_recompute_regimes(topology, regime,
+                                                     schedule):
+    """Both adaptive regimes: twin runs agree exactly, and the
+    incremental side passes the cross-check (rates, totals and the
+    hook-maintained indexes) after every allocation."""
+    with forced_regime(regime):
+        inc_times, inc_now, _ = _run(topology, schedule, incremental=True)
+        full_times, full_now, _ = _run(topology, schedule,
+                                       incremental=False)
+    assert (inc_times, inc_now) == (full_times, full_now)
 
-        def poker(env):
-            # External capacity-change notifications interleaved with
-            # the admit/cancel churn (the incremental path must survive
-            # forced reallocations of an unchanged membership).
-            for _ in range(3):
-                yield env.timeout(0.07)
-                gpu.pool.poke()
 
-        procs = []
-        for i, (c, delay, flops, nbytes, max_sms) in enumerate(launches):
-            kernel = Kernel(flops=flops, bytes_moved=nbytes,
-                            max_sms=max_sms, name=f"k{i}")
-            cancel_after = 0.01 if i % 3 == 0 else None
-            procs.append(env.process(
-                submit(env, clients[c], delay, kernel, cancel_after)))
-        env.process(poker(env))
-        env.run(until=env.all_of(procs))
-        return events, env.now
-
-    assert run(True) == run(False)
+@regimes
+@given(schedule=launch_schedule())
+@settings(max_examples=10, deadline=None)
+def test_cancellation_keeps_paths_identical_regimes(regime, schedule):
+    with forced_regime(regime):
+        assert _cancel_run(schedule, True) == _cancel_run(schedule, False)
 
 
 def test_solo_fast_path_and_counters():
@@ -311,13 +345,12 @@ def test_memo_hits_are_bit_identical(topology, schedule):
     bypassed = []
     recompute = SimulatedGPU._recompute_group
 
-    def spy(self, state, group_res, budget, overhead, no_repeats):
+    def spy(self, state, budget, overhead):
         hits = self.alloc_memo_hits
-        out = recompute(self, state, group_res, budget, overhead, no_repeats)
-        if not no_repeats:
+        recompute(self, state, budget, overhead)
+        if state.repeats:
             bypassed.append(self.alloc_memo_hits == hits
-                            and out.rmemo is None)
-        return out
+                            and state.rmemo is None)
 
     with mock.patch.object(SimulatedGPU, "_recompute_group", spy):
         times, gpu = _replay(topology, schedule)
@@ -328,6 +361,19 @@ def test_memo_hits_are_bit_identical(topology, schedule):
     with mock.patch.object(device, "_MEMO_MAX", 1):
         cleared_times, _ = _replay(topology, schedule)
     assert cleared_times == times
+
+
+@regimes
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@given(schedule=palette_schedule())
+@settings(max_examples=10, deadline=None)
+def test_memo_hits_are_bit_identical_regimes(topology, regime, schedule):
+    """Memo hits replay the columns and splits of either regime."""
+    with forced_regime(regime):
+        times, gpu = _replay(topology, schedule)
+        full_times, _ = _replay(topology, schedule, incremental=False)
+    assert gpu.alloc_memo_hits > 0
+    assert times == full_times
 
 
 def test_multi_stream_client_bypasses_memo():

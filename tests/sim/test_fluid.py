@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Environment, FluidPool, FluidTask, SimulationError
+from tests.regimes import REGIMES, forced_regime
 
 
 def equal_share_allocator(capacity):
@@ -300,3 +301,37 @@ def test_on_change_hook_sees_every_mutation():
     pool.cancel(b)                 # explicit eviction
     assert seen == [(a.tid, True), (b.tid, True),
                     (a.tid, False), (b.tid, False)]
+
+
+def test_rates_live_in_pool_slots():
+    env = Environment()
+    pool = FluidPool(env, equal_share_allocator(12.0))
+    tasks = [FluidTask(env, work=w) for w in (30.0, 60.0, 90.0)]
+    for t in tasks:
+        pool.add(t)
+    assert [t.rate for t in tasks] == [4.0, 4.0, 4.0]
+    # The rate is the slot: writing one writes the other.
+    tasks[1].rate = 7.0
+    assert pool._r[tasks[1]._slot] == 7.0
+    # Evicting the first slot swap-moves the last task into it; rates
+    # follow their tasks, and an evicted task reads zero.
+    pool.cancel(tasks[0])
+    assert tasks[2]._slot == 0
+    assert tasks[0].rate == 0.0
+    assert [t.rate for t in tasks[1:]] == [6.0, 6.0]
+
+
+#: Every pool test above, re-run in both adaptive regimes.
+POOL_TESTS = [f for name, f in sorted(globals().items())
+              if name.startswith("test_") and callable(f)]
+
+
+@pytest.mark.parametrize("regime", [t for _, t in REGIMES],
+                         ids=[i for i, _ in REGIMES])
+@pytest.mark.parametrize("case", POOL_TESTS, ids=lambda f: f.__name__)
+def test_pool_in_both_regimes(case, regime):
+    """The hot loops' scalar and vector paths pass the same tests, and
+    the slot layout (rates, work, ndarray mirrors) holds after every
+    reallocation and eviction."""
+    with forced_regime(regime):
+        case()

@@ -132,6 +132,43 @@ def test_interrupt_finished_process_rejected():
         p.interrupt()
 
 
+def test_interrupt_before_start_resumes_once():
+    # The interrupt lands after the bootstrap ran the generator to its
+    # first yield: the process must not also resume from that event.
+    env = Environment()
+    log = []
+
+    def worker(env):
+        try:
+            yield env.timeout(0.0)
+        except Interrupt as i:
+            log.append(("interrupted", i.cause))
+        yield env.timeout(5.0)
+        log.append(("done", env.now))
+
+    p = env.process(worker(env))
+    p.interrupt("early")
+    env.run()
+    assert log == [("interrupted", "early"), ("done", 5.0)]
+
+
+def test_interrupt_landing_after_finish_is_dropped():
+    env = Environment()
+
+    def worker(env):
+        try:
+            yield env.timeout(10.0)
+        except Interrupt:
+            return "stopped"
+
+    p = env.process(worker(env))
+    env.run(until=1.0)
+    p.interrupt()
+    p.interrupt()  # queued behind the first, which ends the process
+    env.run()
+    assert p.value == "stopped"
+
+
 def test_yield_non_event_raises_inside_process():
     env = Environment()
 

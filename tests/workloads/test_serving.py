@@ -284,3 +284,35 @@ def test_stall_window_defers_batch_launch():
     req = server.submit(n_tokens=4)
     env.run(until=req.done)
     assert req.finish_time > 3.0  # nothing ran inside the stall window
+
+
+def test_double_crash_before_the_interrupt_lands():
+    # Two crashes at one instant (e.g. two replica_crash faults with one
+    # timestamp): the second interrupt lands on a finished loop and is
+    # dropped.
+    env, server, llm = make_server()
+    req = server.submit(n_tokens=20)
+    req.done._defused = True  # its failure is asserted below
+    env.run(until=env.now + 0.01)
+    server.crash()
+    server.crash()
+    assert server.alive  # flips only when the interrupt lands
+    env.run()
+    assert not server.alive
+    assert not req.done.ok
+    assert server.n_failed == 1
+
+
+def test_crash_before_the_serving_loop_starts():
+    # The crash's interrupt lands after the loop's first resume has
+    # attached it to a get registered after interrupt() ran.
+    env, server, llm = make_server()
+    req = server.submit(n_tokens=20)
+    req.done._defused = True  # its failure is asserted below
+    server.crash()
+    env.run()
+    assert not server.alive
+    assert not req.done.ok
+    assert server.n_failed == 1
+    with pytest.raises(RuntimeError):
+        server.submit()
