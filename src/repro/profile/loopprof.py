@@ -1,8 +1,8 @@
 """Event-loop profiler implementation.
 
-The engine's :meth:`Environment.step` hands every ``(when, event,
-callbacks)`` batch to :meth:`EventLoopProfiler.record` when a profiler
-is attached.  ``record`` runs the callbacks itself — same order, same
+The engine's event loop hands every ``(when, event, callbacks)`` batch
+— wakeup-slot firings included — to :meth:`EventLoopProfiler.record`
+when a profiler is attached.  ``record`` runs the callbacks itself — same order, same
 exception semantics — so attaching a profiler cannot change a
 simulation's outcome, only observe it.
 """
@@ -91,7 +91,7 @@ class EventLoopProfiler:
                callbacks: list) -> None:
         """Run ``callbacks`` for ``event``, attributing as we go.
 
-        Called by :meth:`Environment.step` in place of the plain
+        Called by the environment's event loop in place of the plain
         callback loop; identical invocation order and exception
         propagation.
         """

@@ -21,6 +21,7 @@ from repro.sim.core import (
     Event,
     SimulationError,
     Timeout,
+    WakeupSlot,
 )
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Resource, Store
@@ -41,5 +42,6 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
+    "WakeupSlot",
     "substream_seed",
 ]

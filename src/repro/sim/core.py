@@ -27,6 +27,7 @@ __all__ = [
     "PENDING",
     "URGENT",
     "NORMAL",
+    "WakeupSlot",
 ]
 
 #: Sentinel for an event that has not yet fired.
@@ -161,6 +162,22 @@ class Timeout(Event):
         return f"<Timeout timeout({self.delay:g}) {state}>"
 
 
+class WakeupSlot(Event):
+    """A re-armable timer kept outside the event heap (the fluid pool's
+    completion wakeup).  Re-arming (:meth:`Environment.arm`) overwrites
+    the pending firing, where a timeout would leave a superseded entry
+    to be popped and ignored.  The loop fires it like any event, running
+    ``callback``; a fired slot stays disarmed until re-armed."""
+
+    __slots__ = ("_callbacks",)
+
+    def __init__(self, env: "Environment", callback: Callable[["Event"], None]):
+        super().__init__(env)
+        self._value = None
+        self._callbacks = [callback]
+        self.callbacks = None
+
+
 class _Condition(Event):
     """Base for :class:`AllOf` / :class:`AnyOf` combinators.
 
@@ -262,11 +279,13 @@ class Environment:
         #: Free list of processed recyclable timeouts.
         self._tpool: list[Timeout] = []
         self._pooling = bool(pooling)
-        #: Attached :class:`repro.profile.EventLoopProfiler`, or ``None``.
-        #: While ``None`` (the default) the drain loops take the inlined
-        #: fast path and :meth:`step` skips all instrumentation — the
-        #: disabled profiler costs one attribute load per run/advance
-        #: call, not per event.
+        #: Armed wakeup slots (slot -> its heap key) and the earliest of
+        #: those keys, or ``None`` — see :meth:`arm`.
+        self._timers: dict[WakeupSlot, tuple] = {}
+        self._tnext: Optional[tuple] = None
+        #: Attached :class:`repro.profile.EventLoopProfiler`, or ``None``:
+        #: while attached, the event loop hands each event's callbacks to
+        #: its ``record``.
         self._profiler = None
         if ENV_CREATED_HOOK is not None:
             ENV_CREATED_HOOK(self)
@@ -399,96 +418,91 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        t = self._queue[0][0] if self._queue else float("inf")
+        nxt = self._tnext
+        return t if nxt is None or t < nxt[0] else nxt[0]
 
-    def step(self) -> None:
-        """Process the single next event."""
-        if not self._queue:
-            raise SimulationError("no scheduled events")
-        when, _prio, _seq, event = _heappop(self._queue)
-        if when > self._now:
-            self._now = when
-        elif when < self._now - 1e-12:
-            raise SimulationError("event scheduled in the past")
-        callbacks, event.callbacks = event.callbacks, None
-        self.events_processed += 1
-        prof = self._profiler
-        if prof is None:
-            for cb in callbacks:
-                cb(event)
-        else:
-            prof.record(self, when, event, callbacks)
-        if not event._ok and not event._defused:
-            # An un-waited-on failure must not pass silently.
-            exc = event._value
-            raise exc
-        if event._recycle and len(self._tpool) < self._POOL_LIMIT:
-            self._tpool.append(event)
+    # -- wakeup slots -------------------------------------------------------
+    def arm(self, slot: "WakeupSlot", delay: float) -> None:
+        """(Re-)arm ``slot`` to fire ``delay`` from now, replacing any
+        pending firing.  The slot takes the ``(time, NORMAL, seq)`` key a
+        :class:`Timeout` created here would have (arming consumes a
+        ``seq``), so it fires in that timeout's place in the order."""
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        seq = self._seq + 1
+        self._seq = seq
+        key = (self._now + delay, NORMAL, seq, slot)
+        timers = self._timers
+        old = timers.get(slot)
+        timers[slot] = key
+        slot.callbacks = slot._callbacks
+        nxt = self._tnext
+        if nxt is None or key < nxt:
+            self._tnext = key
+        elif nxt is old:
+            self._tnext = min(timers.values())
 
-    def _drain(self, horizon: float) -> None:
-        """Inlined :meth:`step` loop: run every event due by ``horizon``.
+    def disarm(self, slot: "WakeupSlot") -> None:
+        """Cancel ``slot``'s pending firing, if any."""
+        timers = self._timers
+        old = timers.pop(slot, None)
+        if old is not None and old is self._tnext:
+            self._tnext = min(timers.values()) if timers else None
 
-        Semantically identical to ``while queue and queue[0][0] <=
-        horizon: self.step()`` — same event order, same clock updates,
-        same ``events_processed``, same recycling — but the per-event
-        method call and attribute traffic are hoisted, and events sharing
-        a timestamp are popped as a batch (the horizon comparison and
-        clock update run once per distinct timestamp, not once per
-        event).  Only valid for pure time horizons; ``until=Event`` /
-        ``advance(stop=...)`` loops need a per-event stop check and use
-        :meth:`step`.
-        """
+    # -- the event loop ------------------------------------------------------
+    def _drain(self, horizon: float, stop=None) -> None:
+        """The event loop: process events in ``(time, priority, seq)``
+        order — the smaller of the heap top and the earliest armed slot
+        next — while the next is due by ``horizon``.  ``stop`` is checked
+        after every event and halts the loop once non-empty.  An attached
+        profiler runs each event's callbacks through its ``record``."""
         queue = self._queue
         pop = _heappop
+        timers = self._timers
         tpool = self._tpool
         pool_limit = self._POOL_LIMIT
-        while queue:
-            when = queue[0][0]
-            if when > horizon:
+        prof = self._profiler
+        while True:
+            nxt = self._tnext
+            if queue and (nxt is None or queue[0] < nxt):
+                when = queue[0][0]
+                if when > horizon:
+                    return
+                event = pop(queue)[3]
+            elif nxt is not None:
+                when = nxt[0]
+                if when > horizon:
+                    return
+                event = nxt[3]
+                del timers[event]
+                self._tnext = min(timers.values()) if timers else None
+            else:
                 return
             if when > self._now:
                 self._now = when
             elif when < self._now - 1e-12:
                 raise SimulationError("event scheduled in the past")
-            while True:
-                event = pop(queue)[3]
-                callbacks, event.callbacks = event.callbacks, None
-                self.events_processed += 1
-                for cb in callbacks:
-                    cb(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-                if event._recycle and len(tpool) < pool_limit:
-                    tpool.append(event)
-                if not queue or queue[0][0] != when:
-                    break
-
-    def _drain_until_event(self, stop_holder: list) -> None:
-        """Inlined :meth:`step` loop halting once ``stop_holder`` fills.
-
-        Same per-event semantics as :meth:`step`; the stop check must
-        stay per-event (the event *after* the stop event, even at the
-        same timestamp, must not be processed early).
-        """
-        queue = self._queue
-        pop = _heappop
-        tpool = self._tpool
-        pool_limit = self._POOL_LIMIT
-        while queue and not stop_holder:
-            when = queue[0][0]
-            if when > self._now:
-                self._now = when
-            elif when < self._now - 1e-12:
-                raise SimulationError("event scheduled in the past")
-            event = pop(queue)[3]
             callbacks, event.callbacks = event.callbacks, None
             self.events_processed += 1
-            for cb in callbacks:
-                cb(event)
+            if prof is None:
+                for cb in callbacks:
+                    cb(event)
+            else:
+                prof.record(self, when, event, callbacks)
             if not event._ok and not event._defused:
+                # An un-waited-on failure must not pass silently.
                 raise event._value
             if event._recycle and len(tpool) < pool_limit:
                 tpool.append(event)
+            if stop:
+                return
+
+    def step(self) -> None:
+        """Process the single next event."""
+        if not self._queue and self._tnext is None:
+            raise SimulationError("no scheduled events")
+        self._drain(float("inf"), _ONE_EVENT)
 
     def advance(self, horizon: float, stop: Optional[Event] = None) -> bool:
         """Step every event due at or before ``horizon``; clock never jumps.
@@ -503,75 +517,59 @@ class Environment:
         perturbs it.
 
         With ``stop`` given, processing halts as soon as that event is
-        processed (exactly ``run(until=stop)``'s condition) and the call
+        processed (exactly ``run(until=stop)``'s condition: the event
+        after it, even at the same timestamp, does not run) and the call
         returns ``True``; otherwise it returns ``False`` once every
-        event due by ``horizon`` has been processed.  ``RUN_LISTENER``
-        is not invoked (an epoch is a fragment of a run, not a run).
+        event due by ``horizon`` has been processed.  The call leaves
+        ``stop``'s callbacks as it found them.  ``RUN_LISTENER`` is not
+        invoked (an epoch is a fragment of a run, not a run).
         """
         horizon = float(horizon)
-        queue, step = self._queue, self.step
         if stop is None:
-            if self._profiler is None:
-                self._drain(horizon)
-            else:
-                while queue and queue[0][0] <= horizon:
-                    step()
+            self._drain(horizon)
             return False
         if stop.processed:
             return True
         fired: list[Event] = []
-        stop.callbacks.append(fired.append)
-        while queue and queue[0][0] <= horizon and not fired:
-            step()
+
+        def _capture(ev: Event) -> None:
+            fired.append(ev)
+
+        stop.callbacks.append(_capture)
+        try:
+            self._drain(horizon, fired)
+        finally:
+            if stop.callbacks is not None:
+                stop.callbacks.remove(_capture)
         return bool(fired)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, ``until`` time passes, or event fires.
 
-        Returns the value of ``until`` when it is an event.
+        Returns the value of ``until`` when it is an event.  With no
+        ``until`` the clock ends at the last processed event.
         """
         try:
-            return self._run(until)
+            if isinstance(until, Event):
+                if not self.advance(float("inf"), until):
+                    raise SimulationError(
+                        "event queue drained before the 'until' event fired"
+                    )
+                if not until.ok:
+                    raise until.value
+                return until.value
+            horizon = float("inf") if until is None else float(until)
+            if horizon != float("inf") and horizon < self._now:
+                raise ValueError(
+                    f"until={horizon!r} is in the past (now={self._now!r})")
+            self._drain(horizon)
+            if horizon != float("inf"):
+                self._now = max(self._now, horizon)
+            return None
         finally:
             if RUN_LISTENER is not None:
                 RUN_LISTENER(self)
 
-    def _run(self, until: float | Event | None = None) -> Any:
-        if isinstance(until, Event):
-            stop = until
-            stop_holder: list[Any] = []
 
-            def _capture(ev: Event) -> None:
-                stop_holder.append(ev)
-
-            if stop.processed:
-                return stop.value if stop.ok else _raise(stop.value)
-            stop.callbacks.append(_capture)
-            if self._profiler is None:
-                self._drain_until_event(stop_holder)
-            else:
-                queue, step = self._queue, self.step
-                while queue and not stop_holder:
-                    step()
-            if not stop_holder:
-                raise SimulationError(
-                    "event queue drained before the 'until' event fired"
-                )
-            return stop.value if stop.ok else _raise(stop.value)
-
-        horizon = float("inf") if until is None else float(until)
-        if horizon != float("inf") and horizon < self._now:
-            raise ValueError(f"until={horizon!r} is in the past (now={self._now!r})")
-        if self._profiler is None:
-            self._drain(horizon)
-        else:
-            queue, step = self._queue, self.step
-            while queue and queue[0][0] <= horizon:
-                step()
-        if horizon != float("inf"):
-            self._now = max(self._now, horizon)
-        return None
-
-
-def _raise(exc: BaseException) -> Any:
-    raise exc
+#: ``step``'s stop container: non-empty, so the loop halts after one event.
+_ONE_EVENT = (True,)

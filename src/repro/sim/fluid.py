@@ -3,7 +3,9 @@
 Models a set of concurrently-resident tasks whose progress rates depend on
 how a shared resource is divided among them *right now*.  Whenever the set
 of resident tasks changes, an allocator callback recomputes every task's
-rate and the pool reschedules the next completion.
+rate and the pool re-arms its wakeup for the next completion — one
+:class:`~repro.sim.core.WakeupSlot` kept outside the event heap, so a
+superseded wakeup is overwritten rather than left to pop.
 
 This is the standard fluid-flow approximation used in network and GPU
 sharing simulators: between membership changes, rates are constant, so the
@@ -46,7 +48,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.core import Environment, Event, SimulationError, WakeupSlot
 from repro.sim.numerics import KahanSum
 
 __all__ = ["FluidTask", "FluidPool"]
@@ -203,9 +205,9 @@ class FluidPool:
         # order through on_change and done-callback ordering).
         self._aseq = 0
         self._last_update = env.now
-        # Generation counter: each reallocation invalidates the wakeups
-        # scheduled by earlier generations (cheaper than heap removal).
-        self._gen = 0
+        # The completion wakeup: one slot outside the event heap (built
+        # at the first arming), re-armed on every reallocation.
+        self._wake: Optional[WakeupSlot] = None
         # External capacity changes (poke) bump the epoch; together with
         # the membership revision it decides whether cached rates are
         # still valid, letting _reallocate skip the allocator entirely.
@@ -440,9 +442,8 @@ class FluidPool:
 
     def _reallocate(self) -> None:
         if not self._tasks:
-            self._gen += 1  # invalidate any stale wakeup
+            self._disarm()
             self._alloc_rev = -1
-            self._wakeup_pending = False
             return
         if (self._members_rev == self._alloc_rev
                 and self._epoch == self._alloc_epoch):
@@ -450,7 +451,7 @@ class FluidPool:
             # allocator would reproduce the rates every task already
             # carries, so skip it (and the water-filling behind it).
             if self._wakeup_pending:
-                return  # the scheduled completion wakeup is still exact
+                return  # the armed completion wakeup is still exact
             self._schedule_wakeup()
             return
         self.allocator(self._tasks.values())
@@ -463,11 +464,7 @@ class FluidPool:
 
     def _schedule_wakeup(self) -> None:
         """Arm the wakeup for the earliest completion at current rates."""
-        self._gen += 1
-        self._wakeup_pending = False
         n = len(self._slot_task)
-        if n == 0:
-            return
         # The scan doubles as rate validation (the former separate
         # O(#tasks) pass over the allocator's output).
         horizon = math.inf
@@ -506,19 +503,25 @@ class FluidPool:
                 # min over the same per-task work/rate quotients the
                 # scalar scan compares — order-free, same float.
                 horizon = float(np.min(self._w_view()[pos] / ra[pos]))
-        if horizon is math.inf or horizon == math.inf:
-            return  # every task starved; an external poke must revive them
-        gen = self._gen
-        # Pooled: nothing retains the wakeup once it fires (the closure
-        # below captures only the generation counter).
-        wakeup = self.env.timeout_pooled(max(horizon, 0.0))
+        if horizon == math.inf:
+            # Every task starved; an external poke must revive them.
+            self._disarm()
+            return
+        if self._wake is None:
+            def _on_wakeup(_ev: Event) -> None:
+                self._wakeup_pending = False
+                self._advance()
+                self._reallocate()
+
+            self._wake = WakeupSlot(self.env, _on_wakeup)
+        self._arm(max(horizon, 0.0))
+
+    def _arm(self, delay: float) -> None:
+        """(Re-)arm the completion wakeup ``delay`` from now."""
+        self.env.arm(self._wake, delay)
         self._wakeup_pending = True
 
-        def _on_wakeup(_ev: Event) -> None:
-            if gen != self._gen:
-                return  # superseded by a later reallocation
+    def _disarm(self) -> None:
+        if self._wakeup_pending:
             self._wakeup_pending = False
-            self._advance()
-            self._reallocate()
-
-        wakeup.callbacks.append(_on_wakeup)
+            self.env.disarm(self._wake)

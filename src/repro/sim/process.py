@@ -80,6 +80,19 @@ class Process(Event):
         carrier._defused = True
         carrier.fail(exc, priority=URGENT)
 
+    def resume_inline(self, event: Event, value: Any = None) -> None:
+        """Fire ``event`` with ``value`` and resume the process now.
+
+        For an event the process waits on that is never scheduled: the
+        caller (typically a callback of another event) hands control
+        back synchronously, so the hand-back takes no queue entry, no
+        sequence number and no processed event.
+        """
+        event._value = value
+        event._ok = True
+        event.callbacks = None
+        self._resume(event)
+
     def defuse(self) -> None:
         """Mark this process's failure as handled (no kernel re-raise)."""
         self._defused = True

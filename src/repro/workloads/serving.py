@@ -166,6 +166,13 @@ class InferenceServer:
         self._pause_event: Optional[Event] = None
         self._executing = False
         self._drain_waiters: list[Event] = []
+        # The callback-driven decode (see _execute_batch): tokens left
+        # per request, and the event the generator waits on meanwhile.
+        self._tokens_left: dict[int, int] = {}
+        self._batch_end: Optional[Event] = None
+        #: True from crash() on: the decode callbacks stand down, as a
+        #: generator would stop at its next resume.
+        self._crashing = False
         self._proc = env.process(self._serve())
         self._proc.defuse()
 
@@ -197,6 +204,7 @@ class InferenceServer:
         # The interrupt handler in _serve does the cleanup, so a crash
         # behaves identically whether injected externally or raised by
         # the loop itself.
+        self._crashing = True
         self._proc.interrupt(cause)
 
     # -- reconfiguration drain protocol -------------------------------------
@@ -319,51 +327,89 @@ class InferenceServer:
             self._flush_drained()
 
     def _execute_batch(self, batch: list[InferenceRequest]):
+        """Decode the batch; returns once it completed or failed.
+
+        Only the first launch runs in the generator.  Each token step
+        is then driven by callbacks on the step's own events — the
+        kernel's ``done`` (:meth:`_on_kernel_done`), then the host-gap
+        timeout (:meth:`_on_host_gap`) — and the step that ends the
+        batch resumes this generator inline, so a step costs no
+        generator resume and no event beyond those two.
+        """
         env = self.env
         for request in batch:
             request.start_time = env.now
-        steps = max(r.n_tokens for r in batch)
-        remaining = {r.rid: r.n_tokens for r in batch}
-        active = list(batch)
-        for _step in range(steps):
-            kernel = self.batched_decode_kernel(len(active))
-            try:
-                if self.fail_next_launches > 0:
-                    self.fail_next_launches -= 1
-                    raise GpuLaunchError(
-                        f"server {self.name!r}: transient launch failure"
-                    )
-                yield self.client.launch(kernel)
-            except Interrupt:
-                raise  # replica crash: handled by _serve
-            except Exception as exc:  # noqa: BLE001 - kernel/launch fault
-                # The batch dies with the kernel; the replica survives.
-                for request in active:
-                    self._fail_request(request, exc)
-                self._active = []
-                self._on_change()
-                return
-            yield env.timeout_pooled(
-                self.llm.host_seconds_per_token * self.slowdown)
-            still_active = []
-            for request in active:
-                remaining[request.rid] -= 1
-                if remaining[request.rid] == 0:
-                    request.finish_time = env.now
-                    self.n_completed += 1
-                    if self.keep_completed:
-                        self.completed.append(request)
-                    if self.on_complete is not None:
-                        self.on_complete(request)
-                    request.done.succeed(request)
-                else:
-                    still_active.append(request)
-            self._active = active = still_active
-            self._on_change()
-            if not active:
-                break
+        self._tokens_left = {r.rid: r.n_tokens for r in batch}
+        if self._launch_step():
+            self._batch_end = end = env.event()
+            yield end
+
+    def _launch_step(self) -> bool:
+        """Launch the next decode kernel; False if the launch failed
+        (the batch then died here)."""
+        kernel = self.batched_decode_kernel(len(self._active))
+        try:
+            if self.fail_next_launches > 0:
+                self.fail_next_launches -= 1
+                raise GpuLaunchError(
+                    f"server {self.name!r}: transient launch failure"
+                )
+            done = self.client.launch(kernel)
+        except Exception as exc:  # noqa: BLE001 - launch fault
+            self._fail_batch(exc)
+            return False
+        done.callbacks.append(self._on_kernel_done)
+        return True
+
+    def _on_kernel_done(self, event: Event) -> None:
+        if self._crashing:
+            return  # the crash handler owns the batch now
+        if not event._ok:
+            # The batch dies with the kernel; the replica survives.
+            event._defused = True
+            self._fail_batch(event._value)
+            self._end_batch()
+            return
+        self.env.timeout_pooled(
+            self.llm.host_seconds_per_token * self.slowdown
+        ).callbacks.append(self._on_host_gap)
+
+    def _on_host_gap(self, _event: Event) -> None:
+        if self._crashing:
+            return
+        now = self.env.now
+        tokens_left = self._tokens_left
+        still_active = []
+        for request in self._active:
+            rid = request.rid
+            tokens_left[rid] -= 1
+            if tokens_left[rid] == 0:
+                request.finish_time = now
+                self.n_completed += 1
+                if self.keep_completed:
+                    self.completed.append(request)
+                if self.on_complete is not None:
+                    self.on_complete(request)
+                request.done.succeed(request)
+            else:
+                still_active.append(request)
+        self._active = still_active
+        self._on_change()
+        if not still_active or not self._launch_step():
+            self._end_batch()
+
+    def _end_batch(self) -> None:
+        """Hand control back to the serving generator, inline."""
+        end, self._batch_end = self._batch_end, None
+        self._proc.resume_inline(end)
 
     # -- failure paths ------------------------------------------------------
+    def _fail_batch(self, exc: BaseException) -> None:
+        for request in self._active:
+            self._fail_request(request, exc)
+        self._active = []
+        self._on_change()
+
     def _fail_request(self, request: InferenceRequest,
                       exc: BaseException) -> None:
         self.n_failed += 1

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.profile import EventLoopProfiler, profiling, site_name
-from repro.sim import Environment, SimulationError
+from repro.sim import Environment, FluidPool, FluidTask, SimulationError
 from repro.sim import core as sim_core
 
 
@@ -40,6 +40,38 @@ def test_profiler_does_not_perturb_the_simulation():
     assert profiled == plain
     assert prof_env.now == plain_env.now
     assert prof_env.events_processed == plain_env.events_processed
+
+
+def _fluid_scenario(env):
+    """Three tasks sharing one pool: every completion is a pool wakeup."""
+
+    def equal_share(tasks):
+        for t in tasks:
+            t.rate = 1.0 / len(tasks)
+
+    pool = FluidPool(env, equal_share)
+    for delay, work in ((0.0, 1.0), (0.5, 2.0), (0.7, 3.0)):
+        env.schedule_callback(
+            delay, lambda work=work: pool.add(FluidTask(env, work=work)))
+    env.run()
+    return pool.work_drained
+
+
+def test_profiler_attributes_pool_wakeup_slots():
+    plain_env = Environment()
+    plain = _fluid_scenario(plain_env)
+    prof_env = Environment()
+    prof = EventLoopProfiler()
+    prof.attach(prof_env)
+    profiled = _fluid_scenario(prof_env)
+    assert profiled == plain
+    assert prof_env.now == plain_env.now
+    assert prof.events == prof_env.events_processed \
+        == plain_env.events_processed
+    sites = {r["site"].rsplit(":", 1)[-1]: r for r in prof.report()["sites"]}
+    wakeups = sites["FluidPool._schedule_wakeup.<locals>._on_wakeup"]
+    assert wakeups["events"] == 3  # one live wakeup per completion
+    assert prof.events == 9  # plus three arrivals and three done events
 
 
 def test_profiler_deterministic_counts():
