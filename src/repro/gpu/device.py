@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import insort
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -153,7 +154,7 @@ class ShareGroup:
                         break
                 task = queue.popleft()
                 self._resident = task
-                self.device._admit(task)
+                self.device.pool.add(task)
                 try:
                     yield task.done
                 except Exception:  # noqa: BLE001
@@ -168,21 +169,20 @@ class ShareGroup:
                 self._rr.append(cid)  # unfinished: back of the rotation
 
     def submit(self, task: FluidTask) -> None:
-        if self.discipline == "temporal":
-            cid = task.meta["client"].cid
-            queue = self._queues.get(cid)
-            if queue is None:
-                queue = deque()
-                self._queues[cid] = queue
-            was_empty = not queue
-            queue.append(task)
-            if (was_empty and cid not in self._rr
-                    and cid != self._serving_cid):
-                self._rr.append(cid)
-            if self._idle is not None and not self._idle.triggered:
-                self._idle.succeed()
-        else:
-            self.device._admit(task)
+        """Queue ``task`` for the temporal pump (spatial groups' tasks
+        go straight into the device's pool)."""
+        cid = task.meta["client"].cid
+        queue = self._queues.get(cid)
+        if queue is None:
+            queue = deque()
+            self._queues[cid] = queue
+        was_empty = not queue
+        queue.append(task)
+        if (was_empty and cid not in self._rr
+                and cid != self._serving_cid):
+            self._rr.append(cid)
+        if self._idle is not None and not self._idle.triggered:
+            self._idle.succeed()
 
 
 class GpuClient:
@@ -373,12 +373,12 @@ class SimulatedGPU:
         # Kept by the pool's membership hook (incremental mode only):
         # one allocation record per resident group (gid -> record), the
         # records in the full path's group order (that of each group's
-        # first resident task), the dirty records, and the number of
-        # fair-policy groups.  A poke bumps the pool epoch; an epoch or
-        # fair-count change makes the next pass revisit every record.
+        # first resident task, kept by insertion), the dirty records,
+        # and the number of fair-policy groups.  A poke bumps the pool
+        # epoch; an epoch or fair-count change makes the next pass
+        # revisit every record.
         self._groups: dict[int, _GroupAllocState] = {}
         self._ordered: list[_GroupAllocState] = []
-        self._order_stale = False
         self._dirty: list[_GroupAllocState] = []
         self._n_fair = 0
         self._seen_epoch = -1
@@ -399,6 +399,12 @@ class SimulatedGPU:
         self._kclass: dict[tuple, int] = {}
         self._kclass_ids = itertools.count()
         self._memo_size = 0
+        # Class cache: (kernel kid, client SM cap, record budget) ->
+        # (demand, kernel constants, class id), the pure function of
+        # those three that _classify derives.  Cleared with the memo (a
+        # cached id must be the one _kclass holds) and on its own when
+        # full (which only costs lookups).
+        self._kcache: dict[tuple, tuple] = {}
         #: Allocator invocations (every admit/complete/poke that changed
         #: the resident set or external capacity).
         self.alloc_calls = 0
@@ -452,11 +458,12 @@ class SimulatedGPU:
         task = FluidTask(self.env, work=1.0,
                          meta={"client": client, "kernel": kernel})
         task.done.callbacks.append(self._on_complete)
-        client.group.submit(task)
+        group = client.group
+        if group.discipline == "temporal":
+            group.submit(task)
+        else:
+            self.pool.add(task)
         return task.done
-
-    def _admit(self, task: FluidTask) -> None:
-        self.pool.add(task)
 
     def _on_complete(self, ev: Event) -> None:
         if ev.ok:
@@ -490,9 +497,11 @@ class SimulatedGPU:
         group's record in sync with the pool and mark it dirty.
 
         Residency dicts keep admission order, the full path's iteration
-        contract.  A new group sorts last (its first task is the newest
-        admission) and a vanished one just leaves, so only a surviving
-        group that loses its first task, among several, forces a sort.
+        contract.  ``_ordered`` stays sorted by first admission as it
+        goes: a new group sorts last (its first task is the newest
+        admission), a vanished one just leaves, and a surviving group
+        that loses its first task is the only record that can move — it
+        is re-inserted by its new key.
         """
         client = task.meta["client"]
         group: ShareGroup = client.group
@@ -537,30 +546,41 @@ class SimulatedGPU:
                     self._n_fair -= 1
                 return
             if first and len(self._ordered) > 1:
-                self._order_stale = True
+                ordered = self._ordered
+                ordered.remove(st)
+                insort(ordered, st, key=_first_admission)
         if not st.dirty:
             st.dirty = True
             self._dirty.append(st)
 
     def _classify(self, st: _GroupAllocState, t: FluidTask) -> None:
         """Cache ``t``'s SM demand under the record's budget, its kernel
-        constants and its interned kernel-class id."""
-        client: GpuClient = t.meta["client"]
-        kernel: Kernel = t.meta["kernel"]
-        demand = float(min(kernel.max_sms, client.sm_cap, st.budget))
-        # (bytes_moved, flops, flops_per_sm * efficiency): the cached
-        # product has the exact operand grouping the full path uses, so
-        # reuse stays bit-identical.
-        ki = (kernel.bytes_moved, kernel.flops,
-              self.spec.flops_per_sm * kernel.efficiency)
+        constants and its interned kernel-class id.
+
+        The triple depends only on the kernel (an immutable value named
+        by its ``kid``), the client's SM cap and the budget, so it is
+        looked up by those three before it is derived."""
+        meta = t.meta
+        kernel: Kernel = meta["kernel"]
+        cap = meta["client"]._sm_cap
+        ckey = (kernel.kid, cap, st.budget)
+        entry = self._kcache.get(ckey)
+        if entry is None:
+            demand = float(min(kernel.max_sms, cap, st.budget))
+            # (bytes_moved, flops, flops_per_sm * efficiency): the cached
+            # product has the exact operand grouping the full path uses,
+            # so reuse stays bit-identical.
+            ki = (kernel.bytes_moved, kernel.flops,
+                  self.spec.flops_per_sm * kernel.efficiency)
+            c = self._kclass.get((demand, ki))
+            if c is None:
+                self._memo_room()
+                c = self._kclass[(demand, ki)] = next(self._kclass_ids)
+            if len(self._kcache) >= _MEMO_MAX:
+                self._kcache.clear()
+            entry = self._kcache[ckey] = (demand, ki, c)
         tid = t.tid
-        st.demands[tid] = demand
-        st.kinfo[tid] = ki
-        c = self._kclass.get((demand, ki))
-        if c is None:
-            self._memo_room()
-            c = self._kclass[(demand, ki)] = next(self._kclass_ids)
-        st.cls[tid] = c
+        st.demands[tid], st.kinfo[tid], st.cls[tid] = entry
 
     def _allocate(self, tasks: Iterable[FluidTask]) -> None:
         """FluidPool callback: divide SMs and bandwidth over ``tasks``.
@@ -570,7 +590,22 @@ class SimulatedGPU:
         bit-identical rates; ``cross_check`` runs both and compares.
         """
         self.alloc_calls += 1
-        self._integrate()
+        # _integrate, inline: the same Kahan steps applied in place to
+        # the two compensated sums.
+        now = self.env._now
+        dt = now - self._integral_t0
+        if dt > 0:
+            acc = self._sm_seconds
+            y = self._cur_sm_alloc * dt - acc._comp
+            s = acc.value + y
+            acc._comp = (s - acc.value) - y
+            acc.value = s
+            acc = self._bw_byte_seconds
+            y = self._cur_bw_alloc * dt - acc._comp
+            s = acc.value + y
+            acc._comp = (s - acc.value) - y
+            acc.value = s
+        self._integral_t0 = now
         if self.incremental:
             if len(tasks) == 1:
                 self._allocate_solo(next(iter(tasks)))
@@ -653,9 +688,6 @@ class SimulatedGPU:
         """
         spec = self.spec
         ordered = self._ordered
-        if self._order_stale:
-            ordered.sort(key=_first_admission)
-            self._order_stale = False
         dirty = self._dirty
 
         n_fair = self._n_fair
@@ -671,21 +703,40 @@ class SimulatedGPU:
             stale = dirty  # usually one record
             full_round = False
 
+        memo = self._memo
         recomputed = 0
+        hits = 0
         for st in stale:
             g = st.group
             fair = g.sm_policy == "fair"
             budget = fair_share if fair else float(g.sm_budget)
-            if (st.dirty or st.budget != budget
-                    or st.overhead != g.overhead_factor):
-                self._recompute_group(st, budget, g.overhead_factor)
+            overhead = g.overhead_factor
+            if st.dirty or st.budget != budget or st.overhead != overhead:
                 recomputed += 1
-            cap = g.effective_bw_cap
+                # Steady state: same budget, every task classified and
+                # no repeated client, so the memo key is at hand.  Any
+                # other case, or a miss, is _recompute_group's.
+                hit = None
+                if (st.budget == budget and not st.repeats
+                        and len(st.cls) == len(st.res)):
+                    hit = memo.get((budget, *st.cls.values()))
+                if hit is None:
+                    self._recompute_group(st, budget, overhead)
+                else:
+                    hits += 1
+                    st.overhead = overhead
+                    st.share = None  # membership changed: rerun the rates
+                    (st.sm_list, st.sm_sum, st.bwd_list, st.bw_demand_sum,
+                     st.rmemo) = hit
+            cap = g.bw_cap
+            if cap is None:
+                cap = spec.bandwidth
             if fair:
                 cap = min(cap, spec.bandwidth / max(1, n_fair))
             st.gcap = cap
             st.gdemand = min(st.bw_demand_sum, cap)
         self.alloc_group_recomputes += recomputed
+        self.alloc_memo_hits += hits
         self.alloc_group_reuses += len(ordered) - recomputed
 
         # Group-level waterfill always reruns: any group's demand change
@@ -761,6 +812,7 @@ class SimulatedGPU:
         if self._memo_size >= _MEMO_MAX:
             self._memo.clear()
             self._kclass.clear()
+            self._kcache.clear()
             self._memo_size = 0
         self._memo_size += 1
 
@@ -776,7 +828,9 @@ class SimulatedGPU:
         the allocation memo by ``(budget, ordered kernel-class ids)``;
         they are a pure function of exactly those inputs.  Repeated
         clients bypass the memo, since the aggregate-cap shrink depends
-        on client identity.
+        on client identity.  (The allocation pass takes the steady-state
+        hit itself — same budget, every task classified — and calls
+        this only on a miss or when the key must first be rebuilt.)
         """
         if st.budget != budget:
             # The cached demands depend on the budget: drop them (the
@@ -1051,9 +1105,6 @@ class SimulatedGPU:
 
         want = list(by_group)
         got = [st.group.gid for st in self._ordered]
-        if self._order_stale:  # re-sorted by the next incremental pass
-            want.sort()
-            got.sort()
         check(got == want and len(self._groups) == len(want),
               f"group order {got} != first-resident order {want}")
         check(self._n_fair == sum(st.group.sm_policy == "fair"
@@ -1090,6 +1141,11 @@ class SimulatedGPU:
                       and owner.setdefault(c, key) == key
                       and self._kclass.get(key, c) >= c,
                       f"class of task {t.tid}")
+        # The class cache and the interning table are cleared together,
+        # so every cached id is the one the table holds.
+        for ckey, (demand, ki, c) in self._kcache.items():
+            check(self._kclass.get((demand, ki)) == c,
+                  f"class cache entry {ckey}")
 
 
 def _group_rates(st: _GroupAllocState, gs: float, overhead: float):

@@ -17,9 +17,12 @@ __all__ = ["Kernel", "KernelGroup"]
 _kernel_ids = itertools.count()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Kernel:
     """One GPU kernel launch, in roofline terms.
+
+    Kernels are immutable values: the device's allocator caches a
+    kernel's derived constants by its ``kid``.
 
     Parameters
     ----------

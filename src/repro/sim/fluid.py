@@ -81,7 +81,7 @@ class FluidTask:
         # Progress rate while not resident (always 0.0 once evicted).
         self._rate = 0.0
         #: Fires (with this task) when the work drains.
-        self.done: Event = env.event(name="fluid-done")
+        self.done: Event = Event(env, name="fluid-done")
         self.meta = meta
         self.tid = next(_task_ids)
         self._pool: Optional["FluidPool"] = None
@@ -378,7 +378,7 @@ class FluidPool:
 
     def _advance(self) -> None:
         """Apply progress at current rates from the last update until now."""
-        now = self.env.now
+        now = self.env._now
         dt = now - self._last_update
         self._last_update = now
         n = len(self._slot_task)
@@ -460,6 +460,18 @@ class FluidPool:
         self._r_sync = False
         self._alloc_rev = self._members_rev
         self._alloc_epoch = self._epoch
+        # The common case, armed in this frame: a scalar-regime pool
+        # whose tasks all progress — _schedule_wakeup's first branch.
+        # The vector regime, a starved or invalid rate, an infinite
+        # horizon and the first arming (which builds the slot) take
+        # the full scan.  (A horizon below the clock's resolution fires
+        # once without progress and reaches the full scan that way.)
+        r = self._r
+        if len(r) < _VEC_MIN and self._wake is not None and min(r) > 0.0:
+            horizon = min(map(operator.truediv, self._w, r))
+            if horizon < math.inf:
+                self._arm(max(horizon, 0.0))
+                return
         self._schedule_wakeup()
 
     def _schedule_wakeup(self) -> None:
@@ -514,7 +526,15 @@ class FluidPool:
                 self._reallocate()
 
             self._wake = WakeupSlot(self.env, _on_wakeup)
-        self._arm(max(horizon, 0.0))
+        now = self.env._now
+        if now + horizon <= now:
+            # The earliest completion rounds to now: a wakeup there
+            # drains nothing (no time elapses) and would re-arm at the
+            # same instant forever.  Wake one clock ulp later instead;
+            # that step's progress covers the remaining work (worth
+            # under half an ulp), so the task drains.
+            horizon = math.ulp(now)
+        self._arm(horizon)
 
     def _arm(self, delay: float) -> None:
         """(Re-)arm the completion wakeup ``delay`` from now."""

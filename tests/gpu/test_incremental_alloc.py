@@ -25,7 +25,10 @@ every reallocation and eviction).
 The allocation memo (group columns looked up by kernel-class signature)
 only hits when group contents recur, which random-float shapes almost
 never produce; its tests draw shapes and MPS percentages from a small
-palette and replay each schedule twice on one device.
+palette and replay each schedule twice on one device.  The class cache
+(a task's demand, kernel constants and class id looked up by kernel
+``kid``, client cap and budget) only hits when kernel *objects* recur,
+so its scenarios launch one shared set of kernels throughout.
 """
 
 from unittest import mock
@@ -42,6 +45,7 @@ from repro.gpu import (
     SimulatedGPU,
 )
 from repro.gpu import device
+from repro.gpu.device import AllocatorMismatch
 from repro.gpu.memory import MemoryPool
 from repro.gpu.vgpu import VgpuManager
 from repro.sim import Environment
@@ -73,6 +77,15 @@ def launch_schedule(draw, max_clients=4, max_kernels=10):
 
 def _drive(env, clients, launches):
     """Launch every kernel on its schedule; return completion times."""
+    return _launch_all(env, [
+        (clients[c], delay,
+         Kernel(flops=flops, bytes_moved=nbytes, max_sms=max_sms,
+                name=f"k{i}"))
+        for i, (c, delay, flops, nbytes, max_sms) in enumerate(launches)])
+
+
+def _launch_all(env, launches):
+    """Run ``(client, delay, kernel)`` launches; return completion times."""
     finished = []
 
     def submit(env, client, delay, kernel):
@@ -80,12 +93,8 @@ def _drive(env, clients, launches):
         yield client.launch(kernel)
         finished.append(env.now)
 
-    procs = []
-    for i, (c, delay, flops, nbytes, max_sms) in enumerate(launches):
-        kernel = Kernel(flops=flops, bytes_moved=nbytes, max_sms=max_sms,
-                        name=f"k{i}")
-        procs.append(env.process(submit(env, clients[c], delay, kernel)))
-    env.run(until=env.all_of(procs))
+    env.run(until=env.all_of([env.process(submit(env, *launch))
+                              for launch in launches]))
     return finished
 
 
@@ -266,6 +275,22 @@ def test_group_reuse_skips_clean_groups():
     assert gpu.alloc_group_recomputes > 0
 
 
+def test_group_order_is_checked_exactly():
+    """The hook keeps the records in first-admission order, and the
+    cross-check compares that order exactly: two swapped records fail
+    the next allocation."""
+    env = Environment()
+    gpu = SimulatedGPU(env, SPEC, incremental=True, cross_check=True)
+    clients = _mig_setup(env, gpu, 2)
+    for client in clients:
+        client.launch(Kernel(flops=1e12, bytes_moved=1e9, max_sms=14))
+    ordered = gpu._ordered
+    assert [st.group for st in ordered] == [c.group for c in clients]
+    ordered[0], ordered[1] = ordered[1], ordered[0]
+    with pytest.raises(AllocatorMismatch, match="group order"):
+        clients[0].launch(Kernel(flops=1e12, bytes_moved=1e9, max_sms=14))
+
+
 def test_incremental_default_on_and_env_cross_check(monkeypatch):
     monkeypatch.setenv("REPRO_ALLOC_CHECK", "1")
     env = Environment()
@@ -414,3 +439,117 @@ def test_memo_separates_budget_and_overhead():
     times, gpu = run(True)
     assert gpu.alloc_memo_hits > 0
     assert times == run(False)[0]
+
+
+# ------------------------------------------------------------ class cache
+
+
+def _rounds(clients, kernels):
+    """Three rounds in which every client launches a kernel of the
+    shared set, so the same kernel objects recur across clients.  The
+    rounds start far enough apart not to overlap, so no client has two
+    resident kernels and a replay of the rounds hits the memo."""
+    return [(client, delay, kernels[(i + j) % len(kernels)])
+            for j, delay in enumerate((0.0, 0.05, 0.1))
+            for i, client in enumerate(clients)]
+
+
+def _mps_caps(env, gpu, kernels, replays=2):
+    """MPS clients with different SM caps launching one kernel object."""
+    daemon = MpsControlDaemon(gpu)
+    daemon.start()
+    clients = [daemon.client(f"c{i}", active_thread_percentage=pct)
+               for i, pct in enumerate((25, 50, 100, 50))]
+    times = []
+    for _ in range(replays):
+        times += _launch_all(env, _rounds(clients, kernels))
+    return times
+
+
+def _mig_toggle(env, gpu, kernels):
+    """MPS on the whole device, then MIG (the default group's budget
+    drops to 0), then MPS again once MIG is disabled (back to all SMs),
+    with the same kernel objects in every phase."""
+    def whole_device():
+        daemon = MpsControlDaemon(gpu)
+        daemon.start()
+        clients = [daemon.client(f"d{i}", active_thread_percentage=pct)
+                   for i, pct in enumerate((50, 100))]
+        times = _launch_all(env, _rounds(clients, kernels))
+        for client in clients:
+            client.close()
+        daemon.stop()
+        return times
+
+    times = whole_device()
+    manager = MigManager(gpu)
+    env.run(until=env.process(manager.enable()))
+    instances = [manager.create_instance(profile)
+                 for profile in ("1g.5gb", "2g.10gb")]
+    clients = [inst.enable_mps().client(f"m{i}", active_thread_percentage=pct)
+               for i, inst in enumerate(instances) for pct in (50, 100)]
+    times += _launch_all(env, _rounds(clients, kernels))
+    for client in clients:
+        client.close()
+    for inst in instances:
+        manager.destroy_instance(inst)
+    env.run(until=env.process(manager.disable()))
+    return times + whole_device()
+
+
+def _vgpu_fair(env, gpu, kernels):
+    """Fair-policy VMs: each group's budget follows the active VM count."""
+    manager = VgpuManager(gpu, num_vms=3)
+    clients = [manager.vm(i).client(f"v{i}") for i in range(3)]
+    return _launch_all(env, _rounds(clients, kernels))
+
+
+def _memo_clears(env, gpu, kernels):
+    """:func:`_mps_caps` with a memo bound that clears the memo (and the
+    class cache with it) several times mid-run, yet lets replays hit."""
+    with mock.patch.object(device, "_MEMO_MAX", 28):
+        return _mps_caps(env, gpu, kernels, replays=6)
+
+
+CACHE_SCENARIOS = {"mps-caps": _mps_caps, "mig-toggle": _mig_toggle,
+                   "vgpu-fair": _vgpu_fair, "memo-clears": _memo_clears}
+
+
+@regimes
+@pytest.mark.parametrize("scenario", sorted(CACHE_SCENARIOS))
+def test_class_cache_matches_full_recompute(scenario, regime):
+    """Shared kernel objects take the class cache under every cap and
+    budget a run moves through, bit-identically to the full recompute
+    (``cross_check`` also verifies every allocation on the way), and
+    with the same memo counters as a run that empties the cache before
+    every classification."""
+    kernels = [Kernel(flops=f, bytes_moved=b, max_sms=m, name=f"s{i}")
+               for i, (f, b, m) in enumerate(SHAPES)]
+    hits = []
+    uncached = [False]
+    classify = SimulatedGPU._classify
+
+    def spy(self, st, t):
+        if uncached[0]:
+            self._kcache.clear()
+        hits.append((t.meta["kernel"].kid, t.meta["client"].sm_cap,
+                     st.budget) in self._kcache)
+        classify(self, st, t)
+
+    def run(incremental):
+        env = Environment()
+        gpu = SimulatedGPU(env, SPEC, incremental=incremental,
+                           cross_check=incremental)
+        times = CACHE_SCENARIOS[scenario](env, gpu, kernels)
+        return times, (gpu.alloc_group_recomputes, gpu.alloc_memo_hits,
+                       gpu.alloc_group_reuses)
+
+    with forced_regime(regime), \
+            mock.patch.object(SimulatedGPU, "_classify", spy):
+        times, counters = run(True)
+        assert any(hits)
+        full_times, _ = run(False)
+        uncached[0] = True
+        ref_times, ref_counters = run(True)
+    assert times == full_times == ref_times
+    assert counters == ref_counters

@@ -1,5 +1,7 @@
 """Unit tests for the kernel roofline model."""
 
+import dataclasses
+
 import pytest
 
 from repro.gpu import Kernel, KernelGroup
@@ -16,6 +18,14 @@ def test_kernel_validation():
         Kernel(flops=1, bytes_moved=0, max_sms=1, efficiency=0.0)
     with pytest.raises(ValueError):
         Kernel(flops=1, bytes_moved=0, max_sms=1, efficiency=1.5)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Kernel)])
+def test_kernel_is_frozen(field):
+    """Kernels are immutable values (the allocator caches by ``kid``)."""
+    k = Kernel(flops=1.0, bytes_moved=1.0, max_sms=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(k, field, getattr(k, field))
 
 
 def test_arithmetic_intensity():

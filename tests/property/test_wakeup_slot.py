@@ -10,7 +10,10 @@ toggles, over three pools in one environment (a GPU, its PCIe transfer
 engine and a plain pool whose allocator can starve every task), run
 twice — once with the slot, once with the reference — and must agree on
 every live event, every final work and rate, and on the event count up
-to the reference's superseded wakeups.
+to the reference's superseded wakeups.  ``FluidPool._arm`` is the only
+arming seam: the slot run's ``Environment.arm`` calls must equal the
+reference's ``_arm`` calls, so a pool that arms its slot directly (which
+the reference would not see) fails loudly.
 """
 
 from unittest import mock
@@ -35,8 +38,11 @@ class HeapWakeupPool(FluidPool):
         self._gen = 0
         #: Wakeups that popped after a later arming superseded them.
         self.superseded = 0
+        #: Calls of the arming seam.
+        self.arms = 0
 
     def _arm(self, delay: float) -> None:
+        self.arms += 1
         self._gen += 1
         gen = self._gen
         wakeup = self.env.timeout_pooled(delay)
@@ -95,6 +101,21 @@ SCHEDULES = st.lists(
 
 
 def _run(schedule, pool_cls):
+    """Play ``schedule`` with ``pool_cls`` pools; the last result is the
+    pair (``Environment.arm`` calls, reference ``_arm`` calls)."""
+    env_arms = []
+    arm = Environment.arm
+
+    def counted_arm(env, slot, delay):
+        env_arms.append(delay)
+        arm(env, slot, delay)
+
+    with mock.patch.object(Environment, "arm", counted_arm):
+        *result, seam_arms = _play(schedule, pool_cls)
+    return (*result, (len(env_arms), seam_arms))
+
+
+def _play(schedule, pool_cls):
     env = Environment()
     with mock.patch.object(gpu_device, "FluidPool", pool_cls), \
             mock.patch.object(gpu_transfer, "FluidPool", pool_cls):
@@ -154,16 +175,20 @@ def _run(schedule, pool_cls):
     state = [(t.work, t.rate, t.done.triggered) if t is not None else None
              for t in tasks]
     drained = [p.work_drained for p in pools.values()]
-    return log.live, state, drained, env.events_processed, superseded
+    seam_arms = sum(getattr(p, "arms", 0) for p in pools.values())
+    return (log.live, state, drained, env.events_processed, superseded,
+            seam_arms)
 
 
 @given(schedule=SCHEDULES)
 @settings(max_examples=80, deadline=None)
 def test_slot_matches_heap_timeouts(schedule):
-    live, state, drained, events, superseded = _run(schedule, FluidPool)
+    live, state, drained, events, superseded, arms = \
+        _run(schedule, FluidPool)
     assert superseded == 0
-    ref_live, ref_state, ref_drained, ref_events, ref_superseded = \
-        _run(schedule, HeapWakeupPool)
+    ref_live, ref_state, ref_drained, ref_events, ref_superseded, \
+        ref_arms = _run(schedule, HeapWakeupPool)
+    assert arms[0] == ref_arms[1] and ref_arms[0] == 0
     assert live == ref_live
     assert state == ref_state
     assert drained == ref_drained
@@ -186,10 +211,11 @@ def test_slot_matches_heap_timeouts(schedule):
 ], ids=["all-pools", "earliest-moves-later"])
 def test_reference_supersedes_wakeups(schedule):
     """Fixed schedules that reach superseded wakeups in the reference."""
-    live, state, _, events, _ = _run(schedule, FluidPool)
-    ref_live, ref_state, _, ref_events, superseded = \
+    live, state, _, events, _, arms = _run(schedule, FluidPool)
+    ref_live, ref_state, _, ref_events, superseded, ref_arms = \
         _run(schedule, HeapWakeupPool)
     assert superseded > 0
+    assert arms[0] == ref_arms[1] > 0 and ref_arms[0] == 0
     assert live == ref_live
     assert state == ref_state
     assert events == ref_events - superseded

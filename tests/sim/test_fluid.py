@@ -1,5 +1,7 @@
 """Unit tests for the fluid task pool."""
 
+import math
+
 import pytest
 
 from repro.sim import Environment, FluidPool, FluidTask, SimulationError
@@ -319,6 +321,25 @@ def test_rates_live_in_pool_slots():
     assert tasks[2]._slot == 0
     assert tasks[0].rate == 0.0
     assert [t.rate for t in tasks[1:]] == [6.0, 6.0]
+
+
+def test_completion_below_clock_resolution_terminates():
+    """At t = 1.5 (ulp 2.2e-16) a ~1e-7 s task's first wakeup leaves
+    1.07e-9 of its work — above the drain threshold, yet draining in
+    under half an ulp, so its next wakeup rounds to now and would fire
+    without progress forever.  The pool wakes one ulp later instead."""
+    env = Environment()
+    rate = 9722361.180590294
+    pool = FluidPool(env, lambda tasks: [setattr(t, "rate", rate)
+                                         for t in tasks])
+    env.run(until=1.5)
+    task = pool.add(FluidTask(env, work=1.0))
+    for _ in range(10):
+        if task.done.processed:
+            break
+        env.step()
+    assert task.done.processed and task.work == 0.0
+    assert env.now - (1.5 + 1.0 / rate) <= 2 * math.ulp(1.5)
 
 
 #: Every pool test above, re-run in both adaptive regimes.
