@@ -18,56 +18,20 @@ Table 1                :func:`repro.bench.overhead_experiments.table1_comparison
 =====================  =============================================
 """
 
-from repro.bench.harness import format_table, save_results
-from repro.bench.llm_experiments import (
-    MultiplexResult,
-    fig2_sm_sweep,
-    fig4_fig5_sweep,
-    run_llm_multiplexing,
-)
-from repro.bench.app_experiments import fig1_layer_flops, fig3_moldesign
-from repro.bench.extension_experiments import trace_serving_study
-from repro.bench.overhead_experiments import (
-    discussion_overheads,
-    rightsizing_study,
-    table1_comparison,
-    weightcache_ablation,
-)
-from repro.bench.perfjson import collect_bench, write_bench_json
-from repro.bench.resilience_experiments import (
-    blast_radius_experiment,
-    canonical_fault_plan,
-    resilience_report,
-    run_resilient_fleet,
-)
-from repro.bench.autoscale_experiments import (
-    autoscale_report,
-    run_autoscale_fleet,
-)
-from repro.bench.cluster_experiments import cluster_report, run_contest
+from repro._lazy import attach
 
-__all__ = [
-    "MultiplexResult",
-    "autoscale_report",
-    "blast_radius_experiment",
-    "canonical_fault_plan",
-    "cluster_report",
-    "collect_bench",
-    "discussion_overheads",
-    "fig1_layer_flops",
-    "fig2_sm_sweep",
-    "fig3_moldesign",
-    "fig4_fig5_sweep",
-    "format_table",
-    "resilience_report",
-    "rightsizing_study",
-    "run_autoscale_fleet",
-    "run_contest",
-    "run_llm_multiplexing",
-    "run_resilient_fleet",
-    "save_results",
-    "table1_comparison",
-    "trace_serving_study",
-    "weightcache_ablation",
-    "write_bench_json",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "harness": ["format_table", "save_results"],
+    "llm_experiments": ["MultiplexResult", "fig2_sm_sweep", "fig4_fig5_sweep",
+                        "run_llm_multiplexing"],
+    "app_experiments": ["fig1_layer_flops", "fig3_moldesign"],
+    "extension_experiments": ["trace_serving_study"],
+    "overhead_experiments": ["discussion_overheads", "rightsizing_study",
+                             "table1_comparison", "weightcache_ablation"],
+    "perfjson": ["collect_bench", "write_bench_json"],
+    "resilience_experiments": ["blast_radius_experiment",
+                               "canonical_fault_plan", "resilience_report",
+                               "run_resilient_fleet"],
+    "autoscale_experiments": ["autoscale_report", "run_autoscale_fleet"],
+    "cluster_experiments": ["cluster_report", "run_contest"],
+})

@@ -26,24 +26,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cached_property
 from typing import Optional, Sequence
 
-from repro.bench import (
-    discussion_overheads,
-    fig1_layer_flops,
-    fig2_sm_sweep,
-    fig3_moldesign,
-    fig4_fig5_sweep,
-    format_table,
-    rightsizing_study,
-    table1_comparison,
-    weightcache_ablation,
-    write_bench_json,
-)
-from repro.bench.scale_experiments import sharded_speedup_note
-from repro.runner import ResultCache, SweepRunner, default_cache_dir
-from repro.telemetry import render_ascii_gantt, summarize
-from repro.workloads import CNN_ZOO
+from repro.bench.harness import format_table
 
 __all__ = ["main"]
 
@@ -54,16 +40,26 @@ class RunContext:
     One runner for the whole invocation means its in-memory cache layer
     deduplicates overlapping sweeps across commands — ``repro fig4 fig5``
     runs the multiplexing sweep once — independently of ``--no-cache``,
-    which only disables the cross-invocation disk layer.
+    which only disables the cross-invocation disk layer.  The runner is
+    built on first use, so commands that run no sweep never import
+    :mod:`repro.runner`.
     """
 
     def __init__(self, jobs: Optional[int] = None, no_cache: bool = False):
         self.jobs = jobs
-        cache = ResultCache(default_cache_dir(), disk=not no_cache)
-        self.runner = SweepRunner(jobs=jobs, cache=cache)
+        self.no_cache = no_cache
+
+    @cached_property
+    def runner(self):
+        from repro.runner import ResultCache, SweepRunner, default_cache_dir
+
+        cache = ResultCache(default_cache_dir(), disk=not self.no_cache)
+        return SweepRunner(jobs=self.jobs, cache=cache)
 
 
 def _cmd_fig1(args, ctx) -> str:
+    from repro.bench.app_experiments import fig1_layer_flops
+
     data = fig1_layer_flops(tuple(args.models), (args.batch,))
     rows = []
     for (model, batch), series in sorted(data.items()):
@@ -76,6 +72,8 @@ def _cmd_fig1(args, ctx) -> str:
 
 
 def _cmd_fig2(args, ctx) -> str:
+    from repro.bench.llm_experiments import fig2_sm_sweep
+
     sweep = fig2_sm_sweep(tuple(range(args.step, 101, args.step)),
                           runner=ctx.runner)
     rows = [
@@ -89,6 +87,9 @@ def _cmd_fig2(args, ctx) -> str:
 
 
 def _cmd_fig3(args, ctx) -> str:
+    from repro.bench.app_experiments import fig3_moldesign
+    from repro.telemetry.timeline import render_ascii_gantt
+
     result = fig3_moldesign()
     table = format_table(
         ["phase", "busy seconds"],
@@ -101,6 +102,8 @@ def _cmd_fig3(args, ctx) -> str:
 
 
 def _cmd_fig4(args, ctx) -> str:
+    from repro.bench.llm_experiments import fig4_fig5_sweep
+
     results = fig4_fig5_sweep(n_completions=args.completions,
                               runner=ctx.runner)
     base = results[("timeshare", 1)]
@@ -115,6 +118,9 @@ def _cmd_fig4(args, ctx) -> str:
 
 
 def _cmd_fig5(args, ctx) -> str:
+    from repro.bench.llm_experiments import fig4_fig5_sweep
+    from repro.telemetry.metrics import summarize
+
     results = fig4_fig5_sweep(n_completions=args.completions,
                               runner=ctx.runner)
     rows = []
@@ -127,6 +133,8 @@ def _cmd_fig5(args, ctx) -> str:
 
 
 def _cmd_table1(args, ctx) -> str:
+    from repro.bench.overhead_experiments import table1_comparison
+
     rows = [
         [r.mode.value, f"{r.measured_utilization:.2f}",
          f"{r.measured_throughput:.1f}", r.utilization_class,
@@ -140,6 +148,8 @@ def _cmd_table1(args, ctx) -> str:
 
 
 def _cmd_overheads(args, ctx) -> str:
+    from repro.bench.overhead_experiments import discussion_overheads
+
     report = discussion_overheads()
     rows = [[b.model, b.dtype, b.total_seconds, b.model_load_seconds]
             for b in report.cold_starts]
@@ -154,6 +164,8 @@ def _cmd_overheads(args, ctx) -> str:
 
 
 def _cmd_rightsizing(args, ctx) -> str:
+    from repro.bench.overhead_experiments import rightsizing_study
+
     rows = [
         [r.workload, r.knee_sms, f"{r.mps_percentage}%",
          r.mig_profile or "-", r.placement,
@@ -167,6 +179,8 @@ def _cmd_rightsizing(args, ctx) -> str:
 
 
 def _cmd_weightcache(args, ctx) -> str:
+    from repro.bench.overhead_experiments import weightcache_ablation
+
     result = weightcache_ablation(args.repartitions)
     return format_table(
         ["configuration", "downtime s"],
@@ -177,6 +191,9 @@ def _cmd_weightcache(args, ctx) -> str:
 
 
 def _cmd_bench(args, ctx) -> str:
+    from repro.bench.perfjson import write_bench_json
+    from repro.bench.scale_experiments import sharded_speedup_note
+
     path, report = write_bench_json(path=args.out, quick=args.quick,
                                     jobs=ctx.jobs,
                                     profile=getattr(args, "profile", False))
@@ -603,6 +620,8 @@ def _serve_autoscale_sharded(args) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.workloads.cnn import CNN_ZOO
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the paper's tables and figures.",

@@ -21,35 +21,12 @@ devices a fleet already owns.  This package decides *which* devices and
   fleet → cluster.
 """
 
-from repro.cluster.model import (
-    ClusterGpu,
-    ClusterPlacement,
-    FunctionDemand,
-    GpuSegment,
-    LatencyCurve,
-    build_fleet,
-)
-from repro.cluster.oracle import FunctionPlan, SizingOracle, SliceCandidate
-from repro.cluster.packing import greedy_pack, optimize_pack
-from repro.cluster.feedback import (
-    ClusterFeedback,
-    WindowedRateSensor,
-    placement_diff,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "ClusterFeedback",
-    "ClusterGpu",
-    "ClusterPlacement",
-    "FunctionDemand",
-    "FunctionPlan",
-    "GpuSegment",
-    "LatencyCurve",
-    "SizingOracle",
-    "SliceCandidate",
-    "WindowedRateSensor",
-    "build_fleet",
-    "greedy_pack",
-    "optimize_pack",
-    "placement_diff",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "model": ["ClusterGpu", "ClusterPlacement", "FunctionDemand", "GpuSegment",
+              "LatencyCurve", "build_fleet"],
+    "oracle": ["FunctionPlan", "SizingOracle", "SliceCandidate"],
+    "packing": ["greedy_pack", "optimize_pack"],
+    "feedback": ["ClusterFeedback", "WindowedRateSensor", "placement_diff"],
+})

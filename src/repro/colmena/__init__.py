@@ -20,10 +20,11 @@ simulated timeline:
 idiom, with the steering overlap Colmena exists to provide.
 """
 
-from repro.colmena.models import ColmenaResult
-from repro.colmena.queues import ColmenaQueues
-from repro.colmena.server import TaskServer
-from repro.colmena.thinker import Thinker, agent
+from repro._lazy import attach
 
-__all__ = ["ColmenaQueues", "ColmenaResult", "TaskServer", "Thinker",
-           "agent"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "models": ["ColmenaResult"],
+    "queues": ["ColmenaQueues"],
+    "server": ["TaskServer"],
+    "thinker": ["Thinker", "agent"],
+})

@@ -19,82 +19,24 @@ Mirrors the Parsl surface the paper works with (§2.2, Listings 1-3):
   init, GPU context init, application/model loading).
 """
 
-from repro.faas.futures import AppFuture, TaskRecord, TaskState
-from repro.faas.apps import AppBase, bash_app, gpu_app, join_app, python_app
-from repro.faas.config import Config
-from repro.faas.coldstart import ColdStartModel
-from repro.faas.dataflow import DataFlowKernel, clear, current_dfk, load
-from repro.faas.environment import FunctionEnvironment
-from repro.faas.providers import (
-    ComputeNode,
-    LocalProvider,
-    SlurmProvider,
-    StaticProvider,
-)
-from repro.faas.executors import (
-    ExecutorBase,
-    HighThroughputExecutor,
-    ThreadPoolExecutor,
-)
-from repro.faas.monitoring import MonitoringHub, TaskTransition
-from repro.faas.failures import (
-    FailureInjector,
-    GpuEccError,
-    GpuLaunchError,
-    WorkerCrash,
-    inject_gpu_error,
-)
-from repro.faas.chaos import ChaosController, FaultEvent, FaultPlan
-from repro.faas.globus import (
-    Endpoint,
-    GlobusComputeClient,
-    GlobusComputeService,
-)
-from repro.faas.routing import (
-    GpuTaskRouter,
-    LeastLoadedRouter,
-    ModelAffinityRouter,
-    RoundRobinRouter,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "AppBase",
-    "AppFuture",
-    "ChaosController",
-    "ColdStartModel",
-    "ComputeNode",
-    "Config",
-    "DataFlowKernel",
-    "Endpoint",
-    "ExecutorBase",
-    "FailureInjector",
-    "FaultEvent",
-    "FaultPlan",
-    "FunctionEnvironment",
-    "GpuEccError",
-    "GpuLaunchError",
-    "GlobusComputeClient",
-    "GlobusComputeService",
-    "GpuTaskRouter",
-    "HighThroughputExecutor",
-    "LeastLoadedRouter",
-    "LocalProvider",
-    "ModelAffinityRouter",
-    "RoundRobinRouter",
-    "MonitoringHub",
-    "TaskTransition",
-    "SlurmProvider",
-    "StaticProvider",
-    "TaskRecord",
-    "TaskState",
-    "ThreadPoolExecutor",
-    "WorkerCrash",
-    "bash_app",
-    "clear",
-    "inject_gpu_error",
-    "current_dfk",
-    "gpu_app",
-    "join_app",
-    "load",
-    "python_app",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "futures": ["AppFuture", "TaskRecord", "TaskState"],
+    "apps": ["AppBase", "bash_app", "gpu_app", "join_app", "python_app"],
+    "config": ["Config"],
+    "coldstart": ["ColdStartModel"],
+    "dataflow": ["DataFlowKernel", "clear", "current_dfk", "load"],
+    "environment": ["FunctionEnvironment"],
+    "providers": ["ComputeNode", "LocalProvider", "SlurmProvider",
+                  "StaticProvider"],
+    "executors": ["ExecutorBase", "HighThroughputExecutor",
+                  "ThreadPoolExecutor"],
+    "monitoring": ["MonitoringHub", "TaskTransition"],
+    "failures": ["FailureInjector", "GpuEccError", "GpuLaunchError",
+                 "WorkerCrash", "inject_gpu_error"],
+    "chaos": ["ChaosController", "FaultEvent", "FaultPlan"],
+    "globus": ["Endpoint", "GlobusComputeClient", "GlobusComputeService"],
+    "routing": ["GpuTaskRouter", "LeastLoadedRouter", "ModelAffinityRouter",
+                "RoundRobinRouter"],
+})

@@ -1,7 +1,9 @@
 """Executor implementations (§2.2.1)."""
 
-from repro.faas.executors.base import ExecutorBase
-from repro.faas.executors.thread_pool import ThreadPoolExecutor
-from repro.faas.executors.htex import HighThroughputExecutor
+from repro._lazy import attach
 
-__all__ = ["ExecutorBase", "HighThroughputExecutor", "ThreadPoolExecutor"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "base": ["ExecutorBase"],
+    "thread_pool": ["ThreadPoolExecutor"],
+    "htex": ["HighThroughputExecutor"],
+})

@@ -15,68 +15,22 @@ model (see DESIGN.md §5):
 - :mod:`repro.gpu.monitor` — an ``nvidia-smi``-style utilization sampler.
 """
 
-from repro.gpu.specs import (
-    A100_40GB,
-    A100_80GB,
-    H100_80GB,
-    MI210,
-    V100_32GB,
-    GPUSpec,
-    MIGProfile,
-    get_spec,
-)
-from repro.gpu.kernel import Kernel, KernelGroup
-from repro.gpu.memory import GpuOutOfMemory, MemoryPool
-from repro.gpu.device import GpuClient, ShareGroup, SimulatedGPU
-from repro.gpu.faults import (
-    FaultDomain,
-    GpuEccError,
-    GpuLaunchError,
-    domain_of,
-    fault_domains,
-    kill_domain,
-)
-from repro.gpu.modes import MultiplexMode, mode_capabilities
-from repro.gpu.mps import MpsControlDaemon
-from repro.gpu.mig import MigInstance, MigManager
-from repro.gpu.vgpu import VgpuManager, VirtualMachine
-from repro.gpu.monitor import GpuMonitor
-from repro.gpu.transfer import TransferEngine
-from repro.gpu.cumask import CuMaskManager
-from repro.gpu.streams import CudaEvent, CudaStream
+from repro._lazy import attach
 
-__all__ = [
-    "A100_40GB",
-    "A100_80GB",
-    "CuMaskManager",
-    "CudaEvent",
-    "CudaStream",
-    "FaultDomain",
-    "GPUSpec",
-    "GpuClient",
-    "GpuEccError",
-    "GpuLaunchError",
-    "GpuMonitor",
-    "GpuOutOfMemory",
-    "H100_80GB",
-    "Kernel",
-    "KernelGroup",
-    "MI210",
-    "MIGProfile",
-    "MemoryPool",
-    "MigInstance",
-    "MigManager",
-    "MpsControlDaemon",
-    "MultiplexMode",
-    "ShareGroup",
-    "SimulatedGPU",
-    "TransferEngine",
-    "V100_32GB",
-    "VgpuManager",
-    "VirtualMachine",
-    "domain_of",
-    "fault_domains",
-    "get_spec",
-    "kill_domain",
-    "mode_capabilities",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "specs": ["A100_40GB", "A100_80GB", "H100_80GB", "MI210", "V100_32GB",
+              "GPUSpec", "MIGProfile", "get_spec"],
+    "kernel": ["Kernel", "KernelGroup"],
+    "memory": ["GpuOutOfMemory", "MemoryPool"],
+    "device": ["GpuClient", "ShareGroup", "SimulatedGPU"],
+    "faults": ["FaultDomain", "GpuEccError", "GpuLaunchError", "domain_of",
+               "fault_domains", "kill_domain"],
+    "modes": ["MultiplexMode", "mode_capabilities"],
+    "mps": ["MpsControlDaemon"],
+    "mig": ["MigInstance", "MigManager"],
+    "vgpu": ["VgpuManager", "VirtualMachine"],
+    "monitor": ["GpuMonitor"],
+    "transfer": ["TransferEngine"],
+    "cumask": ["CuMaskManager"],
+    "streams": ["CudaEvent", "CudaStream"],
+})

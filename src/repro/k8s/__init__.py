@@ -18,22 +18,11 @@ scheduler plus the three real GPU exposure mechanisms Kubernetes offers —
 each plugin and against the paper's MPS-partitioned FaaS executor.
 """
 
-from repro.k8s.resources import ResourceSpec
-from repro.k8s.pod import Pod, PodPhase
-from repro.k8s.deviceplugin import (
-    MigDevicePlugin,
-    TimeSlicingPlugin,
-    WholeGpuPlugin,
-)
-from repro.k8s.cluster import Cluster, K8sNode
+from repro._lazy import attach
 
-__all__ = [
-    "Cluster",
-    "K8sNode",
-    "MigDevicePlugin",
-    "Pod",
-    "PodPhase",
-    "ResourceSpec",
-    "TimeSlicingPlugin",
-    "WholeGpuPlugin",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "resources": ["ResourceSpec"],
+    "pod": ["Pod", "PodPhase"],
+    "deviceplugin": ["MigDevicePlugin", "TimeSlicingPlugin", "WholeGpuPlugin"],
+    "cluster": ["Cluster", "K8sNode"],
+})

@@ -21,61 +21,19 @@ directions:
   resources via static kernel analysis or profile fitting (§7).
 """
 
-from repro.partition.policy import (
-    DemandBasedPolicy,
-    EqualSharePolicy,
-    StaticPolicy,
-    mig_profiles_for,
-)
-from repro.partition.manager import GpuPartitionManager
-from repro.partition.autoscaler import (
-    ManagedFunction,
-    PartitionAutoscaler,
-    ScalingDecision,
-    SizingResult,
-    cooldown_elapsed,
-    required_sms_for,
-    scaled_percentages,
-)
-from repro.partition.reconfig import ReconfigCost, ReconfigurationPlanner
-from repro.partition.weightcache import WeightCache
-from repro.partition.rightsizing import (
-    PartitionRecommendation,
-    PlacementNeed,
-    RightSizer,
-)
-from repro.partition.predictor import RuntimePredictor, StaticAnalyzer
-from repro.partition.profiler import PartitionProfiler, ProfileReport
-from repro.partition.layout import (
-    MigLayoutPlan,
-    WorkloadRequirement,
-    plan_mig_layout,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "DemandBasedPolicy",
-    "EqualSharePolicy",
-    "GpuPartitionManager",
-    "ManagedFunction",
-    "MigLayoutPlan",
-    "PartitionAutoscaler",
-    "PartitionProfiler",
-    "PartitionRecommendation",
-    "PlacementNeed",
-    "ProfileReport",
-    "ScalingDecision",
-    "SizingResult",
-    "ReconfigCost",
-    "ReconfigurationPlanner",
-    "RightSizer",
-    "RuntimePredictor",
-    "StaticAnalyzer",
-    "StaticPolicy",
-    "WeightCache",
-    "WorkloadRequirement",
-    "cooldown_elapsed",
-    "mig_profiles_for",
-    "plan_mig_layout",
-    "required_sms_for",
-    "scaled_percentages",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "policy": ["DemandBasedPolicy", "EqualSharePolicy", "StaticPolicy",
+               "mig_profiles_for"],
+    "manager": ["GpuPartitionManager"],
+    "autoscaler": ["ManagedFunction", "PartitionAutoscaler", "ScalingDecision",
+                   "SizingResult", "cooldown_elapsed", "required_sms_for",
+                   "scaled_percentages"],
+    "reconfig": ["ReconfigCost", "ReconfigurationPlanner"],
+    "weightcache": ["WeightCache"],
+    "rightsizing": ["PartitionRecommendation", "PlacementNeed", "RightSizer"],
+    "predictor": ["RuntimePredictor", "StaticAnalyzer"],
+    "profiler": ["PartitionProfiler", "ProfileReport"],
+    "layout": ["MigLayoutPlan", "WorkloadRequirement", "plan_mig_layout"],
+})

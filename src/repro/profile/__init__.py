@@ -29,10 +29,8 @@ or explicitly for one environment::
     report = prof.report()
 """
 
-from repro.profile.loopprof import (
-    EventLoopProfiler,
-    profiling,
-    site_name,
-)
+from repro._lazy import attach
 
-__all__ = ["EventLoopProfiler", "profiling", "site_name"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "loopprof": ["EventLoopProfiler", "profiling", "site_name"],
+})

@@ -7,29 +7,10 @@ the package source (see :mod:`repro.runner.sweep` and
 :mod:`repro.runner.cache`).
 """
 
-from repro.runner.cache import (
-    MISS,
-    ResultCache,
-    default_cache_dir,
-    source_digest,
-)
-from repro.runner.shardpool import ShardWorkerError, ShardWorkerPool
-from repro.runner.sweep import (
-    SweepError,
-    SweepRunner,
-    default_jobs,
-    derive_seed,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "MISS",
-    "ResultCache",
-    "ShardWorkerError",
-    "ShardWorkerPool",
-    "SweepError",
-    "SweepRunner",
-    "default_cache_dir",
-    "default_jobs",
-    "derive_seed",
-    "source_digest",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "cache": ["MISS", "ResultCache", "default_cache_dir", "source_digest"],
+    "shardpool": ["ShardWorkerError", "ShardWorkerPool"],
+    "sweep": ["SweepError", "SweepRunner", "default_jobs", "derive_seed"],
+})

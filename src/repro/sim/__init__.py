@@ -14,34 +14,13 @@ between co-resident kernels — the mechanism behind the paper's MPS-vs-MIG
 results.
 """
 
-from repro.sim.core import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    SimulationError,
-    Timeout,
-    WakeupSlot,
-)
-from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Resource, Store
-from repro.sim.fluid import FluidPool, FluidTask
-from repro.sim.rng import RngRegistry, substream_seed
+from repro._lazy import attach
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Environment",
-    "Event",
-    "FluidPool",
-    "FluidTask",
-    "Interrupt",
-    "Process",
-    "Resource",
-    "RngRegistry",
-    "SimulationError",
-    "Store",
-    "Timeout",
-    "WakeupSlot",
-    "substream_seed",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "core": ["AllOf", "AnyOf", "Environment", "Event", "SimulationError",
+             "Timeout", "WakeupSlot"],
+    "process": ["Interrupt", "Process"],
+    "resources": ["Resource", "Store"],
+    "fluid": ["FluidPool", "FluidTask"],
+    "rng": ["RngRegistry", "substream_seed"],
+})

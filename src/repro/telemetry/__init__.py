@@ -1,53 +1,17 @@
 """Telemetry: task timelines (Fig. 3) and metric aggregation."""
 
-from repro.telemetry.timeline import (
-    Span,
-    Timeline,
-    render_ascii_gantt,
-    timeline_from_tasks,
-)
-from repro.telemetry.metrics import LatencyStats, ThroughputMeter, summarize
-from repro.telemetry.export import (
-    series_to_csv,
-    stats_to_dict,
-    timeline_to_csv,
-    timeline_to_jsonl,
-)
-from repro.telemetry.cost import CostReport, GpuCostModel, cost_report
-from repro.telemetry.graph import critical_path, parallelism_profile, task_graph
-from repro.telemetry.resilience import ResilienceStats
-from repro.telemetry.streaming import (
-    P2Quantile,
-    ReservoirSample,
-    StreamingLatencyStats,
-    WindowedRates,
-    merge_event_streams,
-    replay_latency_stats,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "CostReport",
-    "GpuCostModel",
-    "LatencyStats",
-    "P2Quantile",
-    "ReservoirSample",
-    "ResilienceStats",
-    "StreamingLatencyStats",
-    "WindowedRates",
-    "cost_report",
-    "critical_path",
-    "merge_event_streams",
-    "parallelism_profile",
-    "replay_latency_stats",
-    "task_graph",
-    "series_to_csv",
-    "stats_to_dict",
-    "timeline_to_csv",
-    "timeline_to_jsonl",
-    "Span",
-    "ThroughputMeter",
-    "Timeline",
-    "render_ascii_gantt",
-    "summarize",
-    "timeline_from_tasks",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "timeline": ["Span", "Timeline", "render_ascii_gantt",
+                 "timeline_from_tasks"],
+    "metrics": ["LatencyStats", "ThroughputMeter", "summarize"],
+    "export": ["series_to_csv", "stats_to_dict", "timeline_to_csv",
+               "timeline_to_jsonl"],
+    "cost": ["CostReport", "GpuCostModel", "cost_report"],
+    "graph": ["critical_path", "parallelism_profile", "task_graph"],
+    "resilience": ["ResilienceStats"],
+    "streaming": ["P2Quantile", "ReservoirSample", "StreamingLatencyStats",
+                  "WindowedRates", "merge_event_streams",
+                  "replay_latency_stats"],
+})

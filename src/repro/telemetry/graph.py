@@ -10,18 +10,32 @@ simulate→train→infer→simulate spine, which is why the GPU idles (Fig. 3)
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["task_graph", "critical_path", "parallelism_profile"]
 
 
-def task_graph(dfk) -> "nx.DiGraph":
+def _networkx():
+    """networkx, imported on first use: only graph analysis needs it."""
+    try:
+        import networkx
+    except ImportError as exc:
+        raise ImportError(
+            "repro.telemetry.graph needs networkx (install the [test] "
+            "extra); only task-graph analysis uses it") from exc
+    return networkx
+
+
+def task_graph(dfk) -> nx.DiGraph:
     """The run's task DAG: nodes are task tids, edges are dependencies.
 
     Node attributes: ``app`` (app name), ``state``, ``run_seconds``
     (0.0 while unfinished), ``start``/``end`` timestamps.
     """
-    graph = nx.DiGraph()
+    graph = _networkx().DiGraph()
     for record in dfk.tasks:
         graph.add_node(
             record.tid,
@@ -46,6 +60,7 @@ def critical_path(dfk) -> tuple[list[int], float]:
     purpose — the critical path answers "what would still bound the
     makespan with infinite workers".
     """
+    nx = _networkx()
     graph = task_graph(dfk)
     if graph.number_of_nodes() == 0:
         return [], 0.0

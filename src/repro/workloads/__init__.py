@@ -10,112 +10,26 @@
 - :mod:`repro.workloads.datasets` — synthetic MOSES-like molecule space.
 """
 
-from repro.workloads.cnn import (
-    ALEXNET,
-    CNN_ZOO,
-    RESNET18,
-    RESNET34,
-    RESNET50,
-    RESNET101,
-    RESNET152,
-    VGG16,
-    CnnModel,
-    ConvLayer,
-    conv_output_size,
-)
-from repro.workloads.llm import (
-    LLAMA2_7B,
-    LLAMA2_13B,
-    LLAMA2_70B,
-    InferenceRuntime,
-    LlamaInference,
-    LlamaSpec,
-)
-from repro.workloads.datasets import Molecule, MoleculeSpace
-from repro.workloads.chemistry import simulate_ionization_potential
-from repro.workloads.mlmodel import RidgeEmulator
-from repro.workloads.moldesign import CampaignConfig, MolecularDesignCampaign
-from repro.workloads.serving import (
-    InferenceRequest,
-    InferenceServer,
-    OpenLoopClient,
-)
-from repro.workloads.resilience import (
-    CircuitBreaker,
-    Replica,
-    ResilientRouter,
-    ServedRequest,
-    SLOPolicy,
-)
-from repro.workloads.fleet import (
-    AutoscaledServingFleet,
-    FLEET_MODES,
-    FleetFunction,
-    FunctionGroup,
-    ServingFleet,
-)
-from repro.workloads.autoscale import FleetAutoscaler
-from repro.workloads.traces import (
-    TraceStats,
-    bursty_trace,
-    diurnal_trace,
-    iter_bursty_trace,
-    iter_diurnal_trace,
-    iter_poisson_trace,
-    iter_poisson_trace_chunks,
-    poisson_trace,
-    streaming_trace_stats,
-    to_rate_series,
-    trace_stats,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "ALEXNET",
-    "AutoscaledServingFleet",
-    "CNN_ZOO",
-    "CampaignConfig",
-    "CircuitBreaker",
-    "CnnModel",
-    "ConvLayer",
-    "FLEET_MODES",
-    "FleetAutoscaler",
-    "FleetFunction",
-    "FunctionGroup",
-    "InferenceRequest",
-    "InferenceRuntime",
-    "InferenceServer",
-    "LLAMA2_13B",
-    "LLAMA2_70B",
-    "LLAMA2_7B",
-    "LlamaInference",
-    "LlamaSpec",
-    "MolecularDesignCampaign",
-    "Molecule",
-    "MoleculeSpace",
-    "OpenLoopClient",
-    "Replica",
-    "ResilientRouter",
-    "RESNET101",
-    "RESNET152",
-    "RESNET18",
-    "RESNET34",
-    "RESNET50",
-    "RidgeEmulator",
-    "SLOPolicy",
-    "ServedRequest",
-    "ServingFleet",
-    "TraceStats",
-    "VGG16",
-    "bursty_trace",
-    "conv_output_size",
-    "diurnal_trace",
-    "iter_bursty_trace",
-    "iter_diurnal_trace",
-    "iter_poisson_trace",
-    "iter_poisson_trace_chunks",
-    "poisson_trace",
-    "simulate_ionization_potential",
-    "streaming_trace_stats",
-    "to_rate_series",
-    "trace_stats",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "cnn": ["ALEXNET", "CNN_ZOO", "RESNET18", "RESNET34", "RESNET50",
+            "RESNET101", "RESNET152", "VGG16", "CnnModel", "ConvLayer",
+            "conv_output_size"],
+    "llm": ["LLAMA2_7B", "LLAMA2_13B", "LLAMA2_70B", "InferenceRuntime",
+            "LlamaInference", "LlamaSpec"],
+    "datasets": ["Molecule", "MoleculeSpace"],
+    "chemistry": ["simulate_ionization_potential"],
+    "mlmodel": ["RidgeEmulator"],
+    "moldesign": ["CampaignConfig", "MolecularDesignCampaign"],
+    "serving": ["InferenceRequest", "InferenceServer", "OpenLoopClient"],
+    "resilience": ["CircuitBreaker", "Replica", "ResilientRouter",
+                   "ServedRequest", "SLOPolicy"],
+    "fleet": ["AutoscaledServingFleet", "FLEET_MODES", "FleetFunction",
+              "FunctionGroup", "ServingFleet"],
+    "autoscale": ["FleetAutoscaler"],
+    "traces": ["TraceStats", "bursty_trace", "diurnal_trace",
+               "iter_bursty_trace", "iter_diurnal_trace", "iter_poisson_trace",
+               "iter_poisson_trace_chunks", "poisson_trace",
+               "streaming_trace_stats", "to_rate_series", "trace_stats"],
+})

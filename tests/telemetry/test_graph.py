@@ -14,6 +14,7 @@ from repro.telemetry import critical_path, parallelism_profile, task_graph
 from repro.workloads import CampaignConfig, MolecularDesignCampaign
 from repro.gpu import A100_40GB
 from repro.faas import LocalProvider
+from tests.fresh import run_fresh
 
 NO_COLD = ColdStartModel(function_init_seconds=0.0, gpu_context_seconds=0.0)
 
@@ -114,3 +115,40 @@ def test_campaign_critical_path_is_the_sim_train_spine():
     graph = task_graph(dfk)
     for upstream, downstream in zip(path, path[1:]):
         assert graph.has_edge(upstream, downstream)
+
+
+WITHOUT_NETWORKX = """
+import sys
+
+sys.modules["networkx"] = None  # any `import networkx` now raises
+
+import repro.faas.chaos
+import repro.telemetry
+import repro.workloads.fleet
+from repro.bench.resilience_experiments import (
+    canonical_fault_plan,
+    run_resilient_fleet,
+)
+from repro.faas import Config, DataFlowKernel, HighThroughputExecutor
+from repro.telemetry import critical_path
+
+# A ServingFleet episode under the canonical data-plane fault plan.
+report = run_resilient_fleet("mig-mps", 40, seed=3,
+                             plan=canonical_fault_plan(40 / 3.4, seed=3))
+assert report["offered"] == 40 and report["lost"] == 0, report
+dfk = DataFlowKernel(Config(executors=[HighThroughputExecutor(label="cpu")]))
+try:
+    critical_path(dfk)
+except ImportError as exc:
+    print(exc)
+else:
+    raise SystemExit("critical_path ran without networkx")
+"""
+
+
+def test_serving_runs_without_networkx():
+    """networkx is a test extra: a chaos-serving episode needs only
+    numpy, and graph analysis names the missing package."""
+    message = run_fresh(WITHOUT_NETWORKX)
+    assert "networkx" in message
+    assert "only task-graph analysis" in message
