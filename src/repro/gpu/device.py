@@ -45,6 +45,8 @@ import os
 from bisect import insort
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -64,6 +66,10 @@ _group_ids = itertools.count()
 #: Group size at which the allocator's per-group math switches from the
 #: scalar loops to numpy kernels (below it, ufunc dispatch overhead
 #: exceeds the loop cost; the paths are bit-identical either way).
+#: Every float sum on both allocation paths is a left-to-right fold
+#: (``reduce(add, ..., 0.0)``, a running ``+=`` or ``np.add.accumulate``),
+#: never the builtin ``sum``, which compensates its rounding from
+#: Python 3.12 and would then differ from the running sums in the last ulp.
 _VEC_MIN_GROUP = 64
 
 #: Entry bound of each device's allocation memo (kernel classes, group
@@ -268,10 +274,10 @@ class _GroupAllocState:
     because it *is* that value — the cache memoises, never delta-updates.
     """
 
-    __slots__ = ("group", "res", "counts", "repeats", "dirty", "budget",
-                 "overhead", "gcap", "gdemand", "sm_list", "bwd_list",
-                 "bw_demand_sum", "share", "bw_list", "sm_sum", "bw_sum",
-                 "demands", "kinfo", "cls", "rmemo")
+    __slots__ = ("group", "res", "first", "counts", "repeats", "dirty",
+                 "budget", "overhead", "gcap", "gdemand", "sm_list",
+                 "bwd_list", "bw_demand_sum", "share", "bw_list", "sm_sum",
+                 "bw_sum", "demands", "kinfo", "cls", "rmemo")
 
     def __init__(self, group: ShareGroup) -> None:
         self.group = group
@@ -279,6 +285,9 @@ class _GroupAllocState:
         # client, and clients with more than one: while that is zero the
         # MPS aggregate-cap shrink cannot fire (and the memo applies).
         self.res: dict[int, FluidTask] = {}
+        # The group-order key: the pool admission sequence of the
+        # earliest resident task (the hook sets it on every change).
+        self.first = -1
         self.counts: dict[int, int] = {}
         self.repeats = 0
         # Membership changed, or the solo path bypassed the columns.
@@ -314,10 +323,8 @@ class _GroupAllocState:
         self.rmemo: Optional[dict] = None
 
 
-def _first_admission(st: _GroupAllocState) -> int:
-    """Sort key of the group order: the pool admission sequence of the
-    group's earliest resident task."""
-    return next(iter(st.res.values()))._aseq
+#: Sort key of the group order (see ``_GroupAllocState.first``).
+_first_admission = attrgetter("first")
 
 
 class SimulatedGPU:
@@ -511,6 +518,7 @@ class SimulatedGPU:
         if added:
             if st is None:
                 st = self._groups[gid] = _GroupAllocState(group)
+                st.first = task._aseq
                 self._ordered.append(st)
                 if group.sm_policy == "fair":
                     self._n_fair += 1
@@ -524,7 +532,7 @@ class SimulatedGPU:
         else:
             res = st.res
             tid = task.tid
-            first = next(iter(res)) == tid
+            first = st.first == task._aseq
             del res[tid]
             counts = st.counts
             c = counts[cid] - 1
@@ -545,10 +553,12 @@ class SimulatedGPU:
                 if group.sm_policy == "fair":
                     self._n_fair -= 1
                 return
-            if first and len(self._ordered) > 1:
-                ordered = self._ordered
-                ordered.remove(st)
-                insort(ordered, st, key=_first_admission)
+            if first:
+                st.first = next(iter(res.values()))._aseq
+                if len(self._ordered) > 1:
+                    ordered = self._ordered
+                    ordered.remove(st)
+                    insort(ordered, st, key=_first_admission)
         if not st.dirty:
             st.dirty = True
             self._dirty.append(st)
@@ -877,7 +887,8 @@ class SimulatedGPU:
                 by_client.setdefault(id(t.meta["client"]), []).append(t)
             for client_tasks in by_client.values():
                 cap = float(client_tasks[0].meta["client"].sm_cap)
-                subtotal = sum(work[t.tid] for t in client_tasks)
+                subtotal = reduce(add, [work[t.tid] for t in client_tasks],
+                                  0.0)
                 if subtotal > cap:
                     shrink = cap / subtotal
                     for t in client_tasks:
@@ -909,7 +920,7 @@ class SimulatedGPU:
             # x + 0.0 == x for the non-negative accumulator.
             bsum = float(np.add.accumulate(v)[-1])
         else:
-            total = sum(work.values())
+            total = reduce(add, work.values(), 0.0)
             scale = min(1.0, budget / total) if total > 0 else 0.0
             # One fused pass computes both columns: the SM share and the
             # bandwidth that keeps memory off the critical path given
@@ -989,12 +1000,13 @@ class SimulatedGPU:
                 by_client.setdefault(id(client), []).append(t)
             for client_tasks in by_client.values():
                 cap = float(client_tasks[0].meta["client"].sm_cap)
-                subtotal = sum(demands[t.tid] for t in client_tasks)
+                subtotal = reduce(add, [demands[t.tid] for t in client_tasks],
+                                  0.0)
                 if subtotal > cap:
                     shrink = cap / subtotal
                     for t in client_tasks:
                         demands[t.tid] *= shrink
-            total = sum(demands.values())
+            total = reduce(add, demands.values(), 0.0)
             scale = min(1.0, budget / total) if total > 0 else 0.0
             for t in group_tasks:
                 sm_alloc[t.tid] = demands[t.tid] * scale
@@ -1118,7 +1130,8 @@ class SimulatedGPU:
             tids = [t.tid for t in ts]
             counts = dict(Counter(id(t.meta["client"]) for t in ts))
             check(list(st.res) == tids and st.counts == counts
-                  and st.repeats == sum(c > 1 for c in counts.values()),
+                  and st.repeats == sum(c > 1 for c in counts.values())
+                  and st.first == ts[0]._aseq,
                   f"residency of {st.group.name!r}")
             # Classified tasks are a prefix of the residency order (all
             # of it for a cap-policy group), and each class id names
@@ -1233,7 +1246,8 @@ def _hierarchical_waterfill(
     is re-filled over the rest.  Phase 2 water-fills within each group.
     """
     group_demand = {
-        gid: min(sum(demand[t.tid] for t in ts), group_cap[gid])
+        gid: min(reduce(add, [demand[t.tid] for t in ts], 0.0),
+                 group_cap[gid])
         for gid, ts in by_group.items()
     }
     group_share = _waterfill(group_demand, group_cap, total_bw)

@@ -31,12 +31,25 @@ writes rates straight into ``pool._r`` by slot.  The two per-event hot loops —
 (numpy's per-call dispatch overhead exceeds the loop cost for small
 pools), at or above it they run vectorized numpy kernels over ndarray
 mirrors of the lists.  The per-task float math is identical in both
-regimes (same elementwise operations, and the wakeup horizon is an
-order-free ``min``), so which regime ran is unobservable in any
-deterministic payload; only the ``work_drained`` *total* differs in
-accumulation order on the vector path (pairwise ``np.add.reduce``), and
-that total is tolerance-checked by the conservation tests, never part
-of a bit-exact payload.
+regimes, so which regime ran is unobservable in any deterministic
+payload:
+
+- the scalar advance fuses the step into one subtraction, ``work =
+  w - r*dt``, and clamps the drained amount to ``w`` only when the
+  result is at or below the drain threshold; the vector advance takes
+  ``min(r*dt, w)`` first and subtracts it.  If ``r*dt <= w`` both
+  subtract the same product.  If ``r*dt > w`` the scalar difference is
+  negative, so the task drains in both, ending at 0.0 with ``w``
+  drained.  A zero rate subtracts and drains exact zeros, and a
+  negative rate never reaches an advance (arming rejects it);
+- the wakeup horizon is an order-free ``min`` of the same work/rate
+  quotients.  The scalar regime takes it with no pre-scan of the
+  rates: resident work is positive, so a starved task raises
+  ``ZeroDivisionError`` and a negative rate gives a negative minimum,
+  and both fall through to the full scan, which validates the rates
+  and skips starved tasks;
+- the drained amounts are summed left to right in both (the vector
+  path through ``np.add.accumulate``, not pairwise ``np.add.reduce``).
 """
 
 from __future__ import annotations
@@ -391,34 +404,29 @@ class FluidPool:
         if n < _VEC_MIN:
             drained_total = 0.0
             for i in range(n):
-                rate = r[i]
-                if rate <= 0:
-                    continue
-                work = w[i]
-                drained = rate * dt
-                if drained > work:
-                    drained = work
-                work -= drained
-                drained_total += drained
+                drained = r[i] * dt
+                work = w[i] - drained
                 if work <= th[i]:
+                    # Drained: clamp the step to the work that was left.
+                    if drained > w[i]:
+                        drained = w[i]
                     work = 0.0
                     if finished is None:
                         finished = []
                     finished.append(self._slot_task[i])
                 w[i] = work
+                drained_total += drained
             self._work_drained.add(drained_total)
             self._w_sync = False  # list mutated behind the mirror
         else:
             wa = self._w_view()
-            # drained = min(r*dt, w); w -= drained: the same elementwise
-            # float operations as the scalar loop above, so every
-            # per-task work value is bit-identical either way.
+            # drained = min(r*dt, w); w -= drained: the same per-task
+            # floats as the scalar loop's fused step (module docstring).
             drained = self._r_view() * dt
             np.minimum(drained, wa, out=drained)
             wa -= drained  # in place: the work mirror stays in sync
-            # Sequential left-to-right sum (np.add.reduce is pairwise,
-            # which would drift from the scalar loop's running total;
-            # the zero entries of starved tasks are exact no-ops).
+            # Sequential left-to-right sum, as the scalar loop's running
+            # total (np.add.reduce is pairwise and would drift).
             self._work_drained.add(float(np.add.accumulate(drained)[-1]))
             done_idx = np.flatnonzero(wa <= self._th_view())
             w[:] = wa.tolist()
@@ -461,16 +469,22 @@ class FluidPool:
         self._alloc_rev = self._members_rev
         self._alloc_epoch = self._epoch
         # The common case, armed in this frame: a scalar-regime pool
-        # whose tasks all progress — _schedule_wakeup's first branch.
-        # The vector regime, a starved or invalid rate, an infinite
-        # horizon and the first arming (which builds the slot) take
-        # the full scan.  (A horizon below the clock's resolution fires
-        # once without progress and reaches the full scan that way.)
+        # whose tasks all progress — _schedule_wakeup's first branch,
+        # without its rate pre-scan.  Resident work is positive, so a
+        # starved task raises ZeroDivisionError and a negative rate
+        # gives a negative horizon; both, the vector regime, an
+        # infinite horizon and the first arming (which builds the slot)
+        # take the full scan, which validates and handles starvation.
+        # (A horizon below the clock's resolution fires once without
+        # progress and reaches the full scan that way.)
         r = self._r
-        if len(r) < _VEC_MIN and self._wake is not None and min(r) > 0.0:
-            horizon = min(map(operator.truediv, self._w, r))
-            if horizon < math.inf:
-                self._arm(max(horizon, 0.0))
+        if len(r) < _VEC_MIN and self._wake is not None:
+            try:
+                horizon = min(map(operator.truediv, self._w, r))
+            except ZeroDivisionError:
+                horizon = -1.0
+            if 0.0 <= horizon < math.inf:
+                self._arm(horizon)
                 return
         self._schedule_wakeup()
 

@@ -393,8 +393,10 @@ class InferenceServer:
                 request.done.succeed(request)
             else:
                 still_active.append(request)
-        self._active = still_active
-        self._on_change()
+        if len(still_active) < len(self._active):
+            # A request finished: queue_depth fell.
+            self._active = still_active
+            self._on_change()
         if not still_active or not self._launch_step():
             self._end_batch()
 

@@ -31,6 +31,9 @@ palette and replay each schedule twice on one device.  The class cache
 so its scenarios launch one shared set of kernels throughout.
 """
 
+import math
+import random
+import sys
 from unittest import mock
 
 import pytest
@@ -221,6 +224,93 @@ def test_incremental_matches_full_recompute_regimes(topology, regime,
 def test_cancellation_keeps_paths_identical_regimes(regime, schedule):
     with forced_regime(regime):
         assert _cancel_run(schedule, True) == _cancel_run(schedule, False)
+
+
+def _sum_py312(iterable, start=0):
+    """The builtin ``sum`` of Python 3.12+: once the running total is a
+    float, items are added with Neumaier compensation, applied once at
+    the end (when finite)."""
+    items = iter(iterable)
+    total = start
+    for x in items:
+        total = total + x
+        if isinstance(total, float):
+            break
+    comp = 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+def test_sum_emulation_compensates():
+    assert _sum_py312([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert _sum_py312([0.1] * 10) == 1.0
+    assert _sum_py312([True, False, True]) == 2
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12),
+                    reason="the builtin sum compensates from Python 3.12")
+def test_sum_emulation_matches_builtin():
+    rng = random.Random(1)
+    for _ in range(500):
+        values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12)
+                  for _ in range(rng.randint(0, 30))]
+        assert _sum_py312(values) == sum(values)
+
+
+def _paths_agree_under_sum_py312(topology, regime, schedule):
+    """Twin runs with ``_sum_py312`` patched into the device module as
+    ``sum``; the cross-check guards every allocation on the way."""
+    with mock.patch.object(device, "sum", _sum_py312, create=True), \
+            forced_regime(regime):
+        inc_times, inc_now, _ = _run(topology, schedule, incremental=True)
+        full_times, full_now, _ = _run(topology, schedule,
+                                       incremental=False)
+    assert (inc_times, inc_now) == (full_times, full_now)
+
+
+#: Schedules on which a compensated ``sum`` in the exact paths made them
+#: diverge from the incremental path's running sums (id: topology,
+#: regime threshold, schedule).
+COMPENSATED_SUM_CASES = {
+    "mig-scalar": ("mig", 10**9, (3, [
+        (2, 0.01, 1e11, 4e9, 60), (2, 0.0, 2e10, 1e8, 14),
+        (0, 0.001, 1e11, 1e8, 14), (1, 0.0, 1e11, 4e9, 108),
+        (2, 0.0, 5e9, 4e9, 14)])),
+    "mig-vector": ("mig", 1, (3, [
+        (1, 0.001, 1e11, 4e9, 14), (1, 0.01, 1e11, 1e8, 60),
+        (1, 0.0, 1e11, 4e9, 60)])),
+    "mps-scalar": ("mps", 10**9, (4, [
+        (3, 0.001, 1e11, 4e9, 60), (3, 0.001, 1e11, 1e8, 60),
+        (3, 0.01, 5e9, 1e8, 14), (2, 0.001, 5e9, 7e8, 108)])),
+    "mps-vector": ("mps", 1, (2, [
+        (1, 0.001, 1e11, 7e8, 40), (1, 0.001, 1e11, 4e9, 108),
+        (1, 0.01, 1e11, 7e8, 108), (1, 0.0, 5e9, 7e8, 108)])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPENSATED_SUM_CASES))
+def test_paths_agree_under_compensated_sum(case):
+    """From Python 3.12 the builtin ``sum`` adds floats with Neumaier
+    compensation, so it rounds differently from a running sum; neither
+    allocation path may use it for floats."""
+    _paths_agree_under_sum_py312(*COMPENSATED_SUM_CASES[case])
+
+
+@regimes
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@given(schedule=launch_schedule(max_clients=6, max_kernels=14))
+@settings(max_examples=10, deadline=None)
+def test_paths_agree_under_compensated_sum_random(topology, regime,
+                                                  schedule):
+    _paths_agree_under_sum_py312(topology, regime, schedule)
 
 
 def test_solo_fast_path_and_counters():

@@ -342,6 +342,56 @@ def test_completion_below_clock_resolution_terminates():
     assert env.now - (1.5 + 1.0 / rate) <= 2 * math.ulp(1.5)
 
 
+def _rated_pool(env, rates):
+    """A pool whose allocator gives each task ``rates[task.meta]``;
+    admits three tasks and arms the wakeup once."""
+    pool = FluidPool(env, lambda tasks: [setattr(t, "rate", rates[t.meta])
+                                         for t in tasks])
+    tasks = [pool.add(FluidTask(env, work=10.0, meta=i)) for i in range(3)]
+    assert pool._wake is not None and pool._wakeup_pending
+    return pool, tasks
+
+
+def test_rate_turning_negative_after_arming_rejected():
+    env = Environment()
+    rates = [1.0, 2.0, 4.0]
+    pool, _ = _rated_pool(env, rates)
+    env.run(until=1.0)
+    rates[1] = -1.0
+    with pytest.raises(SimulationError, match="negative rate"):
+        pool.poke()
+
+
+def test_rate_turning_zero_starves_only_that_task():
+    env = Environment()
+    rates = [1.0, 2.0, 4.0]
+    pool, (a, b, c) = _rated_pool(env, rates)
+    env.run(until=1.0)
+    rates[1] = 0.0
+    pool.poke()
+    env.run()
+    # a and c drain (c at t=2.5, a at t=10); b keeps its t=1 work.
+    assert a.done.processed and c.done.processed
+    assert env.now == 10.0
+    assert not b.done.triggered and b.work == 8.0 and b.rate == 0.0
+    assert not pool._wakeup_pending
+    assert pool.work_drained == 22.0
+
+
+def test_all_zero_rates_disarm_the_wakeup():
+    env = Environment()
+    rates = [1.0, 2.0, 4.0]
+    pool, tasks = _rated_pool(env, rates)
+    env.run(until=1.0)
+    rates[:] = [0.0, 0.0, 0.0]
+    pool.poke()
+    assert not pool._wakeup_pending
+    assert pool._wake not in env._timers
+    env.run()
+    assert env.now == 1.0
+    assert [t.work for t in tasks] == [9.0, 8.0, 6.0]
+
+
 #: Every pool test above, re-run in both adaptive regimes.
 POOL_TESTS = [f for name, f in sorted(globals().items())
               if name.startswith("test_") and callable(f)]
