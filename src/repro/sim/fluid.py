@@ -322,10 +322,6 @@ class FluidPool:
         self._advance()
         self._reallocate()
 
-    def utilization_snapshot(self) -> float:
-        """Sum of current rates — callers normalise by device capacity."""
-        return sum(t.rate for t in self._tasks.values())
-
     # -- internals ------------------------------------------------------------
     def _w_view(self) -> np.ndarray:
         """The [0:n) work prefix as an ndarray, refreshed if stale."""
@@ -457,9 +453,9 @@ class FluidPool:
                 and self._epoch == self._alloc_epoch):
             # Same resident set under the same external capacity: the
             # allocator would reproduce the rates every task already
-            # carries, so skip it (and the water-filling behind it).
-            if self._wakeup_pending:
-                return  # the armed completion wakeup is still exact
+            # carries, so skip it (and the water-filling behind it).  Only
+            # a fired wakeup gets here — add, cancel and poke bump a
+            # revision — so nothing is armed: arm the next completion.
             self._schedule_wakeup()
             return
         self.allocator(self._tasks.values())

@@ -325,15 +325,6 @@ class FleetAutoscaler:
                 monitor.suspect = False
         return rates, health
 
-    def windowed_rates(self) -> dict[str, float]:
-        """Offered requests/second per function since the last tick.
-
-        Reads the *published* sensors and advances the window marks —
-        one call per control interval (the loop calls :meth:`_sense`,
-        which this wraps, discarding the health verdicts).
-        """
-        return self._sense()[0]
-
     def slo_violated(self, name: str) -> bool:
         """Window P95 above the function's SLO (with enough samples)."""
         monitor = self._monitors[name]
@@ -535,27 +526,10 @@ class FleetAutoscaler:
         # Global drain watchdog: a MIG repartition is all-or-nothing, so
         # one stuck drain aborts the whole thing — resume everyone at
         # the old shares and verify nothing else moved.
-        decided = env.event()
-        settled: list[str] = []
-
-        def settle(what: str) -> None:
-            if not settled:
-                settled.append(what)
-                decided.succeed()
-
-        remaining = [len(victims)]
-
-        def one_drained() -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                settle("drained")
-
-        for group, replica in victims:
-            fleet._drain_handshake(group.name, replica, one_drained)
-        env.schedule_callback(self.resize_watchdog_seconds,
-                              lambda: settle("timeout"))
-        yield decided
-        if settled[0] == "timeout":
+        drained = yield from fleet._drain(
+            [(group.name, replica) for group, replica in victims],
+            self.resize_watchdog_seconds)
+        if not drained:
             for _group, replica in victims:
                 if replica.alive:
                     replica.server.resume()
@@ -592,15 +566,9 @@ class FleetAutoscaler:
         reload_seconds = 0.0
         per_group: dict[str, list] = {}
         for group, replica in victims:
-            group.generation += 1
             new_pct = desired[group.name]
-            client = fleet.daemon.client(
-                f"{group.name}-r{replica.index}g{group.generation}",
-                active_thread_percentage=new_pct)
             old_pct = group.pct_by_replica[replica.index]
-            group.pct_by_replica[replica.index] = new_pct
-            fleet._set_provisioned(group.name, replica.index, new_pct)
-            replica.server.client = client
+            replica.server.client = group.new_client(replica.index, new_pct)
             reload_seconds = max(reload_seconds, group.model_load_seconds)
             per_group.setdefault(group.name, []).append(
                 {"replica": replica.index, "weight_cache_hit": False,

@@ -1,13 +1,17 @@
-"""A partitioned serving fleet wired for chaos experiments.
+"""Serving fleets wired for chaos experiments and live resizes.
 
-:class:`ServingFleet` builds the canonical fleet of the scale benchmark
-— an A100-80GB split seven ways with 16 serving replicas per partition
-— in one of three sharing modes, puts a :class:`ResilientRouter` in
-front of it, and exposes :meth:`apply_fault`, the dispatch point a
-:class:`~repro.faas.chaos.ChaosController` drives.
+:class:`AutoscaledServingFleet` is the one fleet: functions sharing one
+GPU, each a :class:`FunctionGroup` with its own replicas, router and
+stats, plus :meth:`~AutoscaledServingFleet.apply_fault`, the dispatch
+point a :class:`~repro.faas.chaos.ChaosController` drives.
+:func:`placement` lays the device out for a sharing mode, one client
+factory per replica slot; every client a replica gets comes from its
+slot, so it keeps its placement and its fault domain.
 
-The three modes give the *same replica count* over the *same silicon*
-with different isolation, which is what the blast-radius experiment
+:class:`ServingFleet` is the scale benchmark's fleet as one function —
+an A100-80GB split seven ways, 16 serving replicas per partition — in
+one of three sharing modes: the *same replica count* over the *same
+silicon* with different isolation, which the blast-radius experiment
 measures:
 
 - ``"mig-mps"`` — 7 MIG ``1g.10gb`` instances, an MPS daemon inside
@@ -15,12 +19,12 @@ measures:
   is a hardware fault domain: an ECC error kills kernels in one slice.
 - ``"mps"`` — one flat MPS daemon, every replica capped to an equal SM
   share mirroring the MIG slice.  One fault domain: an ECC error kills
-  every resident kernel.
+  every resident kernel.  Named functions run this layout.
 - ``"timeshare"`` — default time-sliced contexts, one fault domain.
 
-Fault targets in a plan are raw integers; :meth:`apply_fault` resolves
-them modulo the relevant victim pool (fault domains, replicas, device
-groups), so one plan replays against any mode.
+Fault targets in a plan are raw integers, resolved modulo the victim
+pool (fault domains, replicas, device groups, functions), so one plan
+replays against any fleet.
 """
 
 from __future__ import annotations
@@ -46,218 +50,37 @@ __all__ = ["AutoscaledServingFleet", "FLEET_MODES", "FleetFunction",
 
 FLEET_MODES = ("mig-mps", "mps", "timeshare")
 
+#: Fault kinds aimed at the resize/telemetry machinery (repro-faultplan/2).
+_CONTROL_PLANE_KINDS = ("resize_stuck", "cache_load_failure",
+                        "sensor_dropout", "telemetry_corruption")
 
-class ServingFleet:
-    """Replicated inference serving over one partitioned GPU.
+def placement(device: SimulatedGPU, mode: str, n_replicas: int,
+              n_partitions: int = 1, profile: str = "1g.10gb") -> tuple:
+    """Lay ``device`` out for ``mode``; return ``(manager, factories)``.
 
-    The fleet owns the device, the replicas, their router, and the
-    fault-application logic; clients talk to :attr:`router` (or the
-    fleet's :meth:`submit` passthrough).
+    ``manager`` is the :class:`MigManager`, the flat
+    :class:`MpsControlDaemon`, or ``None`` for time-sharing; there is one
+    ``factory(name, pct) -> GpuClient`` per replica slot.  ``pct`` caps
+    an MPS client's share of its scope: its MIG slice under ``"mig-mps"``
+    (slots fill the ``n_partitions`` instances in order), the whole
+    device under ``"mps"``; time-shared clients take no cap.  Enabling
+    MIG costs a GPU reset, so it advances the clock.
     """
-
-    def __init__(self, env: Environment, mode: str = "mig-mps",
-                 n_partitions: int = 7, servers_per_partition: int = 16,
-                 spec=A100_80GB, profile: str = "1g.10gb",
-                 dtype_bytes: int = 1, max_batch_size: int = 1,
-                 policy: Optional[SLOPolicy] = None, seed: int = 0,
-                 respawn_seconds: float = 5.0,
-                 stats: Optional[ResilienceStats] = None):
-        if mode not in FLEET_MODES:
-            raise ValueError(f"unknown fleet mode {mode!r}; "
-                             f"expected one of {FLEET_MODES}")
-        if n_partitions < 1 or servers_per_partition < 1:
-            raise ValueError("fleet dimensions must be positive")
-        if respawn_seconds <= 0:
-            raise ValueError("respawn_seconds must be positive")
-        self.env = env
-        self.mode = mode
-        self.n_partitions = n_partitions
-        self.servers_per_partition = servers_per_partition
-        self.max_batch_size = max_batch_size
-        self.respawn_seconds = respawn_seconds
-        self.policy = policy if policy is not None else SLOPolicy()
-        self.stats = stats if stats is not None else ResilienceStats()
-        self.device = SimulatedGPU(env, spec)
-        self.llm = LlamaInference(LLAMA2_7B,
-                                  InferenceRuntime(dtype_bytes=dtype_bytes))
-        #: Per-ECC-fault blast radius: (domain, killed, resident before).
-        self.ecc_log: list[tuple[str, int, int]] = []
-
-        self._factories: list = []
-        if mode == "mig-mps":
-            manager = MigManager(self.device)
-            env.run(until=env.process(manager.enable()))
-            self.manager = manager
-            for _ in range(n_partitions):
-                instance = manager.create_instance(profile)
-                daemon = instance.enable_mps()
-                for _ in range(servers_per_partition):
-                    self._factories.append(
-                        lambda name, d=daemon: d.client(name))
-        elif mode == "mps":
-            daemon = MpsControlDaemon(self.device)
-            daemon.start()
-            self.manager = daemon
-            # Equal-share SM caps mirroring the MIG slice width, so the
-            # two modes differ in *isolation*, not per-replica compute.
-            pct = max(1, round(100 / n_partitions))
-            for _ in range(n_partitions * servers_per_partition):
-                self._factories.append(
-                    lambda name, d=daemon, p=pct:
-                    d.client(name, active_thread_percentage=p))
-        else:  # timeshare
-            self.manager = None
-            for _ in range(n_partitions * servers_per_partition):
-                self._factories.append(
-                    lambda name: self.device.timeshare_client(name))
-
-        self.replicas: list[Replica] = []
-        for k, factory in enumerate(self._factories):
-            server = self._make_server(k, factory(f"srv{k}"))
-            self.replicas.append(Replica(k, server, self.policy))
-        self.router = ResilientRouter(env, self.replicas, self.policy,
-                                      stats=self.stats, seed=seed)
-
-    def _make_server(self, index: int, client: GpuClient) -> InferenceServer:
-        return InferenceServer(
-            self.env, client, self.llm,
-            max_batch_size=self.max_batch_size,
-            keep_completed=False, kernel_cache=True,
-            name=f"srv{index}")
-
-    # -- client API ---------------------------------------------------------
-    def submit(self, n_tokens: int = 20):
-        """Route one request through the fleet (router passthrough)."""
-        return self.router.submit(n_tokens)
-
-    @property
-    def n_replicas(self) -> int:
-        return len(self.replicas)
-
-    def report(self, horizon: float) -> dict:
-        return self.stats.report(horizon)
-
-    # -- fault application --------------------------------------------------
-    def apply_fault(self, event) -> str:
-        """Apply one :class:`~repro.faas.chaos.FaultEvent`; describe it."""
-        handler = getattr(self, f"_fault_{event.kind}", None)
-        if handler is None:
-            raise ValueError(f"fleet cannot apply fault kind {event.kind!r}")
-        self.stats.record_fault(event.kind)
-        return handler(event)
-
-    def _replica_for(self, event) -> Optional[Replica]:
-        # Defensive: a fleet with an empty replica pool (all torn down)
-        # must skip replica-targeted faults, not crash on `% 0`.
-        if not self.replicas:
-            return None
-        return self.replicas[event.target % len(self.replicas)]
-
-    def _fault_ecc(self, event) -> str:
-        # Only domains with clients can lose work; the empty residual
-        # domain (e.g. the zero-budget default group in MIG mode) is
-        # not a meaningful ECC victim.
-        domains = [d for d in fault_domains(self.device)
-                   if any(g.clients for g in d.groups)]
-        if not domains:
-            return "ecc: no populated fault domain"
-        domain = domains[event.target % len(domains)]
-        resident = len(self.device.pool.tasks)
-        killed = kill_domain(self.device, domain)
-        self.ecc_log.append((domain.name, killed, resident))
-        return (f"ecc {domain.name}: killed {killed} of "
-                f"{resident} resident kernels")
-
-    def _fault_replica_crash(self, event) -> str:
-        replica = self._replica_for(event)
-        if replica is None:
-            return "crash: no replicas (skipped)"
-        if not replica.alive:
-            return f"crash srv{replica.index}: already down"
-        replica.server.crash()
-        delay = event.duration if event.duration > 0 else \
-            self.respawn_seconds
-        self.env.schedule_callback(
-            delay, lambda: self._respawn(replica))
-        return f"crash srv{replica.index}: respawn in {delay:g}s"
-
-    def _respawn(self, replica: Replica) -> None:
-        if replica.alive:
-            return
-        name = f"srv{replica.index}r{replica.incarnations}"
-        client = self._factories[replica.index](name)
-        replica.replace(self._make_server(replica.index, client))
-
-    def _fault_straggler_replica(self, event) -> str:
-        replica = self._replica_for(event)
-        if replica is None:
-            return "straggler: no replicas (skipped)"
-        server = replica.server
-        if not server.alive:
-            return f"straggler srv{replica.index}: replica down"
-        server.slowdown = event.factor
-
-        def restore() -> None:
-            # The incarnation that straggled may have crashed meanwhile;
-            # its replacement starts at full speed anyway.
-            if server.alive:
-                server.slowdown = 1.0
-
-        self.env.schedule_callback(event.duration, restore)
-        return (f"straggler srv{replica.index}: x{event.factor:g} "
-                f"for {event.duration:g}s")
-
-    def _fault_straggler_device(self, event) -> str:
-        groups = [g for g in self.device.groups if g.clients]
-        if not groups:
-            return "straggler-device: no populated group"
-        group = groups[event.target % len(groups)]
-        original = group.overhead_factor
-        group.overhead_factor = original / event.factor
-        self.device.pool.poke()
-
-        def restore() -> None:
-            group.overhead_factor = original
-            self.device.pool.poke()
-
-        self.env.schedule_callback(event.duration, restore)
-        return (f"straggler-device {group.name}: x{event.factor:g} "
-                f"for {event.duration:g}s")
-
-    def _fault_launch_failure(self, event) -> str:
-        replica = self._replica_for(event)
-        if replica is None:
-            return "launch-failure: no replicas (skipped)"
-        if not replica.alive:
-            return f"launch-failure srv{replica.index}: replica down"
-        replica.server.fail_next_launches += 1
-        return f"launch-failure srv{replica.index}: next launch rejected"
-
-    def _fault_reconfig_stall(self, event) -> str:
-        replica = self._replica_for(event)
-        if replica is None:
-            return "stall: no replicas (skipped)"
-        server = replica.server
-        if not server.alive:
-            return f"stall srv{replica.index}: replica down"
-        server.stall_until = max(server.stall_until,
-                                 self.env.now + event.duration)
-        return f"stall srv{replica.index}: {event.duration:g}s"
-
-    # Control-plane kinds (repro-faultplan/2) target the resize/telemetry
-    # machinery of :class:`AutoscaledServingFleet`; the static fleet has
-    # neither, so one plan replays against any fleet as a no-op here.
-    def _fault_resize_stuck(self, event) -> str:
-        return "resize-stuck: no control plane (skipped)"
-
-    def _fault_cache_load_failure(self, event) -> str:
-        return "cache-load-failure: no control plane (skipped)"
-
-    def _fault_sensor_dropout(self, event) -> str:
-        return "sensor-dropout: no control plane (skipped)"
-
-    def _fault_telemetry_corruption(self, event) -> str:
-        return "telemetry-corruption: no control plane (skipped)"
+    if mode == "mig-mps":
+        manager = MigManager(device)
+        env = device.env
+        env.run(until=env.process(manager.enable()))
+        daemons = [manager.create_instance(profile).enable_mps()
+                   for _ in range(n_partitions)]
+        return manager, [d.client for d in daemons
+                         for _ in range(n_replicas // n_partitions)]
+    if mode == "mps":
+        daemon = MpsControlDaemon(device)
+        daemon.start()
+        return daemon, [daemon.client] * n_replicas
+    # timeshare
+    return None, [lambda name, pct: device.timeshare_client(name)
+                  ] * n_replicas
 
 
 class ResizeTransaction:
@@ -281,9 +104,6 @@ class ResizeTransaction:
     it returns the per-replica result dict (``aborted`` key marks the
     off-ramp) or ``None`` when the replica died mid-resize.
     """
-
-    STATES = ("pending", "draining", "restarting", "committed",
-              "aborted", "failed")
 
     def __init__(self, fleet: "AutoscaledServingFleet", name: str,
                  replica: Replica, new_pct: int, planner,
@@ -347,21 +167,9 @@ class ResizeTransaction:
         t0 = env.now
         self.state = "draining"
         server.pause()
-        # Drain watchdog: first of {drain handshake, deadline} decides.
-        decided = env.event()
-        outcome: list[str] = []
-
-        def settle(what: str) -> None:
-            if not outcome:
-                outcome.append(what)
-                decided.succeed()
-
-        fleet._drain_handshake(self.name, replica,
-                               lambda: settle("drained"))
-        env.schedule_callback(self.watchdog_seconds,
-                              lambda: settle("timeout"))
-        yield decided
-        if outcome[0] == "timeout":
+        drained = yield from fleet._drain([(self.name, replica)],
+                                          self.watchdog_seconds)
+        if not drained:
             # ABORT: the client was never closed, so nothing beyond the
             # admission pause happened.  Roll back, verify, move on.
             self.state = "aborted"
@@ -386,12 +194,7 @@ class ResizeTransaction:
         if not server.alive:
             self.state = "failed"
             return None
-        group.generation += 1
-        client = fleet.daemon.client(
-            f"{group.name}-r{replica.index}g{group.generation}",
-            active_thread_percentage=self.new_pct)
-        group.pct_by_replica[replica.index] = self.new_pct
-        fleet._set_provisioned(self.name, replica.index, self.new_pct)
+        client = group.new_client(replica.index, self.new_pct)
         hit = False
         cache = fleet.weight_cache
         if self.name in fleet._cache_corrupt:
@@ -401,7 +204,6 @@ class ResizeTransaction:
             # never touch the refcount — the cache stays consistent.
             fleet._cache_corrupt.discard(self.name)
             stats.cache_load_failures += 1
-            yield env.timeout_pooled(group.model_load_seconds)
         elif cache is not None:
             # Bump-and-release against the standing fleet reference:
             # counts the hit, leaves the refcount unchanged, and stays
@@ -409,9 +211,7 @@ class ResizeTransaction:
             hit = cache.acquire(client, group.model_key, group.model_bytes)
             if hit:
                 cache.release(client, group.model_key)
-            else:
-                yield env.timeout_pooled(group.model_load_seconds)
-        else:
+        if not hit:
             yield env.timeout_pooled(group.model_load_seconds)
         server.client = client
         server.resume()
@@ -451,7 +251,9 @@ class FunctionGroup:
     Each function gets its own :class:`ResilientRouter` and
     :class:`~repro.telemetry.resilience.ResilienceStats` — breakers,
     hedging, and SLO accounting are per function, while the GPU (and
-    the weight cache) is shared fleet-wide.
+    the weight cache) is shared fleet-wide.  Replica ``k`` is served by
+    ``<prefix>k`` and owns one placement slot of the fleet: every client
+    it ever gets comes from that slot's factory (:meth:`new_client`).
     """
 
     def __init__(self, fleet: "AutoscaledServingFleet", spec: FleetFunction,
@@ -476,23 +278,36 @@ class FunctionGroup:
         self.pct_by_replica = [spec.initial_pct] * spec.n_replicas
         #: Client-name generation counter (names must be unique).
         self.generation = 0
-        self.stats = ResilienceStats()
-        self.policy = SLOPolicy(deadline_seconds=spec.slo_seconds)
+        self.policy, self.stats, self.prefix = fleet._function_parts(spec)
+        # The next free slots: groups built earlier hold the ones before.
+        first = fleet.n_replicas
+        self.factories = fleet._factories[first:first + spec.n_replicas]
         self.replicas: list[Replica] = []
-        for k in range(spec.n_replicas):
-            client = fleet.daemon.client(f"{spec.name}-r{k}g0",
-                                         active_thread_percentage=spec.initial_pct)
-            server = fleet._make_group_server(self, k, client)
+        for k, factory in enumerate(self.factories):
+            client = factory(f"{self.prefix}{k}g0", spec.initial_pct)
+            fleet._set_provisioned(self.name, k, spec.initial_pct)
+            server = fleet._make_server(self, k, client)
             self.replicas.append(Replica(k, server, self.policy))
         self.router = ResilientRouter(fleet.env, self.replicas, self.policy,
                                       stats=self.stats, seed=seed)
 
+    def new_client(self, index: int, pct: int) -> GpuClient:
+        """A fresh client for replica ``index`` at ``pct``, in its slot;
+        records ``pct`` as provisioned."""
+        self.generation += 1
+        self.pct_by_replica[index] = pct
+        self.fleet._set_provisioned(self.name, index, pct)
+        return self.factories[index](
+            f"{self.prefix}{index}g{self.generation}", pct)
+
 
 class AutoscaledServingFleet:
-    """A multi-function MPS serving fleet whose shares can be resized live.
+    """A multi-function serving fleet whose shares can be resized live.
 
-    One flat MPS daemon over one GPU; each function owns a fixed set of
-    replicas whose ``active_thread_percentage`` the
+    Named functions share one GPU under one flat MPS daemon (the
+    ``"mps"`` :func:`placement`; :class:`ServingFleet` builds the same
+    fleet from any mode).  Each function owns a fixed set of replicas
+    whose ``active_thread_percentage`` the
     :class:`~repro.workloads.autoscale.FleetAutoscaler` re-negotiates at
     runtime via :meth:`resize_replica` — the §7 "change GPU resources
     depending on demand" loop made concrete.  With ``weight_cache=True``
@@ -515,6 +330,18 @@ class AutoscaledServingFleet:
         names = {f.name for f in functions}
         if len(names) != len(functions):
             raise ValueError("function names must be unique")
+        self._build(env, functions,
+                    [seed * 1_000_003 + i for i in range(len(functions))],
+                    spec, dtype_bytes, max_batch_size, respawn_seconds,
+                    WeightCache() if weight_cache else None, "mps")
+
+    def _build(self, env: Environment, functions: Sequence[FleetFunction],
+               seeds: Sequence[int], spec, dtype_bytes: int,
+               max_batch_size: int, respawn_seconds: float,
+               weight_cache: Optional[WeightCache], mode: str,
+               n_partitions: int = 1, profile: str = "1g.10gb") -> None:
+        """Lay the device out for ``mode`` and build one group per
+        function, the router of function ``i`` seeded with ``seeds[i]``."""
         if respawn_seconds <= 0:
             raise ValueError("respawn_seconds must be positive")
         self.env = env
@@ -535,16 +362,18 @@ class AutoscaledServingFleet:
         #: counter inflates by ``factor`` relative to onset.
         self._sensor_corrupt: dict[str, tuple[float, int, float]] = {}
         self.device = SimulatedGPU(env, spec)
-        self.daemon = MpsControlDaemon(self.device)
-        self.daemon.start()
+        self.manager, self._factories = placement(
+            self.device, mode, sum(f.n_replicas for f in functions),
+            n_partitions, profile)
         self.llm = LlamaInference(LLAMA2_7B,
                                   InferenceRuntime(dtype_bytes=dtype_bytes))
-        self.weight_cache: Optional[WeightCache] = (
-            WeightCache() if weight_cache else None)
+        self.weight_cache = weight_cache
         self.groups: dict[str, FunctionGroup] = {}
         #: Injected faults by kind (fleet-wide; per-function counters
         #: live in each group's :class:`ResilienceStats`).
         self.faults: dict[str, int] = {}
+        #: Per-ECC-fault blast radius: (domain, killed, resident before).
+        self.ecc_log: list[tuple[str, int, int]] = []
         # Provisioned-capacity integral: sum over replicas of their MPS
         # percentage, integrated piecewise over sim time.  The ledger is
         # per-replica (`_provisioned`) so resize transactions, crashes,
@@ -554,12 +383,9 @@ class AutoscaledServingFleet:
         self._alloc_total_pct = 0
         self._alloc_integral = 0.0
         self._alloc_changed_at = env.now
-        for i, fn in enumerate(functions):
-            group = FunctionGroup(self, fn, seed=seed * 1_000_003 + i)
+        for fn, seed in zip(functions, seeds):
+            group = FunctionGroup(self, fn, seed=seed)
             self.groups[fn.name] = group
-            for k in range(fn.n_replicas):
-                self._provisioned[(fn.name, k)] = fn.initial_pct
-            self._alloc_total_pct += fn.initial_pct * fn.n_replicas
             if self.weight_cache is not None:
                 # The standing fleet-level reference: weights stay
                 # resident (refcount >= 1) for the fleet's lifetime, so
@@ -567,13 +393,19 @@ class AutoscaledServingFleet:
                 self.weight_cache.acquire(group.replicas[0].server.client,
                                           group.model_key, group.model_bytes)
 
-    def _make_group_server(self, group: FunctionGroup, index: int,
-                           client: GpuClient) -> InferenceServer:
+    def _function_parts(self, spec: FleetFunction
+                        ) -> tuple[SLOPolicy, ResilienceStats, str]:
+        """A named function's SLO policy, stats and server-name prefix."""
+        return (SLOPolicy(deadline_seconds=spec.slo_seconds),
+                ResilienceStats(), f"{spec.name}-r")
+
+    def _make_server(self, group: FunctionGroup, index: int,
+                     client: GpuClient) -> InferenceServer:
         return InferenceServer(
             self.env, client, self.llm,
             max_batch_size=self.max_batch_size,
             keep_completed=False, kernel_cache=True,
-            name=f"{group.name}-r{index}")
+            name=f"{group.prefix}{index}")
 
     # -- client API ---------------------------------------------------------
     def submit(self, name: str):
@@ -624,13 +456,9 @@ class AutoscaledServingFleet:
         them, swap the client under the same server, resume.  The
         :class:`Replica` object — and with it the breaker state and the
         router registration — survives, so fault-tolerance history
-        carries across the resize.
-
-        Since the control-plane chaos work this is a thin wrapper over
-        :class:`ResizeTransaction`: the drain is guarded by a watchdog
-        (``watchdog_seconds``), and a drain that never completes aborts
-        the resize with a verified rollback instead of wedging the
-        control loop.
+        carries across the resize.  A :class:`ResizeTransaction` runs it:
+        a drain that outlives ``watchdog_seconds`` aborts the resize with
+        a verified rollback instead of wedging the control loop.
 
         A generator: run under ``env.process``.  Returns a dict with the
         replica's downtime and whether the weight cache hit; aborted
@@ -641,31 +469,50 @@ class AutoscaledServingFleet:
                                 watchdog_seconds=watchdog_seconds)
         return (yield from txn.run())
 
-    def _drain_handshake(self, name: str, replica: Replica,
-                         done: Callable[[], None]) -> None:
-        """Call ``done`` once ``replica``'s drain completes *and* any
-        injected ``resize_stuck`` hold on it has released.
+    def _drain(self, victims: Sequence[tuple[str, Replica]],
+               watchdog_seconds: float):
+        """Race the drain handshakes of ``victims``, ``(function,
+        replica)`` pairs, against a watchdog; the first to finish decides.
 
-        A hold with ``until == inf`` never releases — the caller's
-        watchdog is then the only way out, which is the point of the
-        fault.
+        A replica's handshake completes once its drain does *and* any
+        injected ``resize_stuck`` hold on it has released.  A hold with
+        ``until == inf`` never releases — the watchdog is then the only
+        way out, which is the point of the fault.  A generator: returns
+        ``True`` when every handshake completed, ``False`` on timeout.
         """
         env = self.env
-        key = (name, replica.index)
+        decided = env.event()
+        outcome: list[bool] = []
+        pending = [len(victims)]
 
-        def release() -> None:
-            self._drain_stuck.pop(key, None)
-            done()
+        def settle(drained: bool) -> None:
+            if not outcome:
+                outcome.append(drained)
+                decided.succeed()
 
-        def on_drained(_event) -> None:
-            until = self._drain_stuck.get(key)
-            if until is None or env.now >= until:
-                release()
-            elif until != math.inf:
-                env.schedule_callback(until - env.now, release)
-            # inf: held until further notice; never call done().
+        def handshake(key: tuple[str, int]) -> Callable[[object], None]:
+            def release() -> None:
+                self._drain_stuck.pop(key, None)
+                pending[0] -= 1
+                if pending[0] == 0:
+                    settle(True)
 
-        replica.server.drain().callbacks.append(on_drained)
+            def on_drained(_event) -> None:
+                until = self._drain_stuck.get(key)
+                if until is None or env.now >= until:
+                    release()
+                elif until != math.inf:
+                    env.schedule_callback(until - env.now, release)
+                # inf: held until further notice; never released.
+
+            return on_drained
+
+        for name, replica in victims:
+            replica.server.drain().callbacks.append(
+                handshake((name, replica.index)))
+        env.schedule_callback(watchdog_seconds, lambda: settle(False))
+        yield decided
+        return outcome[0]
 
     # -- control-plane introspection ----------------------------------------
     def control_state(self) -> dict:
@@ -736,28 +583,45 @@ class AutoscaledServingFleet:
     def apply_fault(self, event) -> str:
         """Apply one :class:`~repro.faas.chaos.FaultEvent`; describe it.
 
-        The PR-4 data-plane kinds resolve over the flat multi-function
+        The data-plane kinds resolve over the flat multi-function
         replica pool; the ``repro-faultplan/2`` control-plane kinds
         mutate the resize/telemetry machinery instead of the replicas.
+        :attr:`faults` counts every event; a function's
+        ``stats.faults`` counts the faults that landed on it.
         """
-        handler = getattr(self, f"_fault_{event.kind}", None)
-        if handler is None:
-            raise ValueError(f"fleet cannot apply fault kind {event.kind!r}")
+        handler = self._handler_for(event.kind)
         self.faults[event.kind] = self.faults.get(event.kind, 0) + 1
         return handler(event)
+
+    def _handler_for(self, kind: str) -> Callable[[object], str]:
+        handler = getattr(self, f"_fault_{kind}", None)
+        if handler is None:
+            raise ValueError(f"fleet cannot apply fault kind {kind!r}")
+        return handler
+
+    def _landed(self, group: FunctionGroup, kind: str) -> None:
+        group.stats.record_fault(kind)
 
     def _group_for(self, event) -> FunctionGroup:
         names = list(self.groups)
         return self.groups[names[event.target % len(names)]]
 
-    def _replica_pair_for(self, event) -> Optional[tuple[str, Replica]]:
-        pairs = [(name, r) for name, g in self.groups.items()
-                 for r in g.replicas]
+    def _victim(self, event
+                ) -> Optional[tuple[FunctionGroup, Replica, str]]:
+        """``(group, replica, server name)`` of the replica ``event``
+        targets across every function, or ``None`` with no replicas."""
+        pairs = [(g, r) for g in self.groups.values() for r in g.replicas]
+        # Defensive: a fleet with an empty replica pool (all torn down)
+        # must skip replica-targeted faults, not crash on `% 0`.
         if not pairs:
             return None
-        return pairs[event.target % len(pairs)]
+        group, replica = pairs[event.target % len(pairs)]
+        return group, replica, f"{group.prefix}{replica.index}"
 
     def _fault_ecc(self, event) -> str:
+        # Only domains with clients can lose work; the empty residual
+        # domain (e.g. the zero-budget default group in MIG mode) is
+        # not a meaningful ECC victim.
         domains = [d for d in fault_domains(self.device)
                    if any(g.clients for g in d.groups)]
         if not domains:
@@ -765,54 +629,53 @@ class AutoscaledServingFleet:
         domain = domains[event.target % len(domains)]
         resident = len(self.device.pool.tasks)
         killed = kill_domain(self.device, domain)
+        self.ecc_log.append((domain.name, killed, resident))
         return (f"ecc {domain.name}: killed {killed} of "
                 f"{resident} resident kernels")
 
     def _fault_replica_crash(self, event) -> str:
-        pair = self._replica_pair_for(event)
-        if pair is None:
+        victim = self._victim(event)
+        if victim is None:
             return "crash: no replicas (skipped)"
-        name, replica = pair
+        group, replica, who = victim
         if not replica.alive:
-            return f"crash {name}-r{replica.index}: already down"
-        self.groups[name].stats.record_fault(event.kind)
+            return f"crash {who}: already down"
+        self._landed(group, event.kind)
         replica.server.crash()
-        self._set_provisioned(name, replica.index, 0)
+        self._set_provisioned(group.name, replica.index, 0)
         delay = event.duration if event.duration > 0 else \
             self.respawn_seconds
         self.env.schedule_callback(
-            delay, lambda: self._respawn_group_replica(name, replica))
-        return f"crash {name}-r{replica.index}: respawn in {delay:g}s"
+            delay, lambda: self._respawn(replica))
+        return f"crash {who}: respawn in {delay:g}s"
 
-    def _respawn_group_replica(self, name: str, replica: Replica) -> None:
+    def _respawn(self, replica: Replica) -> None:
         if replica.alive:
             return
-        group = self.groups[name]
-        pct = group.pct_by_replica[replica.index]
-        group.generation += 1
-        client = self.daemon.client(
-            f"{group.name}-r{replica.index}g{group.generation}",
-            active_thread_percentage=pct)
-        replica.replace(self._make_group_server(group, replica.index, client))
-        self._set_provisioned(name, replica.index, pct)
+        group = next(g for g in self.groups.values() if replica in g.replicas)
+        client = group.new_client(replica.index,
+                                  group.pct_by_replica[replica.index])
+        replica.replace(self._make_server(group, replica.index, client))
 
     def _fault_straggler_replica(self, event) -> str:
-        pair = self._replica_pair_for(event)
-        if pair is None:
+        victim = self._victim(event)
+        if victim is None:
             return "straggler: no replicas (skipped)"
-        name, replica = pair
+        group, replica, who = victim
         server = replica.server
         if not server.alive:
-            return f"straggler {name}-r{replica.index}: replica down"
-        self.groups[name].stats.record_fault(event.kind)
+            return f"straggler {who}: replica down"
+        self._landed(group, event.kind)
         server.slowdown = event.factor
 
         def restore() -> None:
+            # The incarnation that straggled may have crashed meanwhile;
+            # its replacement starts at full speed anyway.
             if server.alive:
                 server.slowdown = 1.0
 
         self.env.schedule_callback(event.duration, restore)
-        return (f"straggler {name}-r{replica.index}: x{event.factor:g} "
+        return (f"straggler {who}: x{event.factor:g} "
                 f"for {event.duration:g}s")
 
     def _fault_straggler_device(self, event) -> str:
@@ -833,70 +696,67 @@ class AutoscaledServingFleet:
                 f"for {event.duration:g}s")
 
     def _fault_launch_failure(self, event) -> str:
-        pair = self._replica_pair_for(event)
-        if pair is None:
+        victim = self._victim(event)
+        if victim is None:
             return "launch-failure: no replicas (skipped)"
-        name, replica = pair
+        group, replica, who = victim
         if not replica.alive:
-            return f"launch-failure {name}-r{replica.index}: replica down"
-        self.groups[name].stats.record_fault(event.kind)
+            return f"launch-failure {who}: replica down"
+        self._landed(group, event.kind)
         replica.server.fail_next_launches += 1
-        return f"launch-failure {name}-r{replica.index}: next launch rejected"
+        return f"launch-failure {who}: next launch rejected"
 
     def _fault_reconfig_stall(self, event) -> str:
-        pair = self._replica_pair_for(event)
-        if pair is None:
+        victim = self._victim(event)
+        if victim is None:
             return "stall: no replicas (skipped)"
-        name, replica = pair
+        group, replica, who = victim
         server = replica.server
         if not server.alive:
-            return f"stall {name}-r{replica.index}: replica down"
-        self.groups[name].stats.record_fault(event.kind)
+            return f"stall {who}: replica down"
+        self._landed(group, event.kind)
         server.stall_until = max(server.stall_until,
                                  self.env.now + event.duration)
-        return f"stall {name}-r{replica.index}: {event.duration:g}s"
+        return f"stall {who}: {event.duration:g}s"
 
     # Control-plane kinds (repro-faultplan/2).
+    def _hold(self, event) -> tuple[float, str]:
+        """A held fault's end time and wording (``duration`` 0: forever)."""
+        if event.duration <= 0:
+            return math.inf, "until further notice"
+        return self.env.now + event.duration, f"for {event.duration:g}s"
+
     def _fault_resize_stuck(self, event) -> str:
-        pair = self._replica_pair_for(event)
-        if pair is None:
+        victim = self._victim(event)
+        if victim is None:
             return "resize-stuck: no replicas (skipped)"
-        name, replica = pair
-        self.groups[name].stats.record_fault(event.kind)
-        until = (math.inf if event.duration <= 0
-                 else self.env.now + event.duration)
-        self._drain_stuck[(name, replica.index)] = until
-        hold = ("until further notice" if until == math.inf
-                else f"for {event.duration:g}s")
-        return f"resize-stuck {name}-r{replica.index}: drain held {hold}"
+        group, replica, who = victim
+        self._landed(group, event.kind)
+        until, hold = self._hold(event)
+        self._drain_stuck[(group.name, replica.index)] = until
+        return f"resize-stuck {who}: drain held {hold}"
 
     def _fault_cache_load_failure(self, event) -> str:
         group = self._group_for(event)
-        group.stats.record_fault(event.kind)
+        self._landed(group, event.kind)
         self._cache_corrupt.add(group.name)
         return (f"cache-load-failure {group.name}: next resize restart "
                 f"reloads from cold")
 
     def _fault_sensor_dropout(self, event) -> str:
         group = self._group_for(event)
-        group.stats.record_fault(event.kind)
-        until = (math.inf if event.duration <= 0
-                 else self.env.now + event.duration)
+        self._landed(group, event.kind)
+        until, hold = self._hold(event)
         self._sensor_dropout[group.name] = (
             until, group.stats.offered, self.env.now)
-        hold = ("until further notice" if until == math.inf
-                else f"for {event.duration:g}s")
         return f"sensor-dropout {group.name}: telemetry frozen {hold}"
 
     def _fault_telemetry_corruption(self, event) -> str:
         group = self._group_for(event)
-        group.stats.record_fault(event.kind)
-        until = (math.inf if event.duration <= 0
-                 else self.env.now + event.duration)
+        self._landed(group, event.kind)
+        until, hold = self._hold(event)
         self._sensor_corrupt[group.name] = (
             until, group.stats.offered, event.factor)
-        hold = ("until further notice" if until == math.inf
-                else f"for {event.duration:g}s")
         return (f"telemetry-corruption {group.name}: offered inflated "
                 f"x{event.factor:g} {hold}")
 
@@ -908,3 +768,68 @@ class AutoscaledServingFleet:
     def report(self, horizon: float) -> dict:
         return {name: group.stats.report(horizon)
                 for name, group in self.groups.items()}
+
+
+class ServingFleet(AutoscaledServingFleet):
+    """Replicated inference serving over one partitioned GPU.
+
+    A fleet of one function whose ``n_partitions *
+    servers_per_partition`` replicas (``srv0``, ``srv1``, …) are placed
+    by ``mode``; it exposes that function's :attr:`stats`,
+    :attr:`router` and :attr:`replicas`, and clients talk to
+    :attr:`router` (or the :meth:`submit` passthrough).  It has no
+    control plane: no weight cache, no controller, and the control-plane
+    fault kinds are skipped.
+    """
+
+    def __init__(self, env: Environment, mode: str = "mig-mps",
+                 n_partitions: int = 7, servers_per_partition: int = 16,
+                 spec=A100_80GB, profile: str = "1g.10gb",
+                 dtype_bytes: int = 1, max_batch_size: int = 1,
+                 policy: Optional[SLOPolicy] = None, seed: int = 0,
+                 respawn_seconds: float = 5.0,
+                 stats: Optional[ResilienceStats] = None):
+        if mode not in FLEET_MODES:
+            raise ValueError(f"unknown fleet mode {mode!r}; "
+                             f"expected one of {FLEET_MODES}")
+        if n_partitions < 1 or servers_per_partition < 1:
+            raise ValueError("fleet dimensions must be positive")
+        self.mode = mode
+        self.policy = policy if policy is not None else SLOPolicy()
+        self.stats = stats if stats is not None else ResilienceStats()
+        # Flat MPS caps every replica to an equal share mirroring the MIG
+        # slice width, so the modes differ in *isolation*, not
+        # per-replica compute; MIG slices and time slices are whole.
+        pct = max(1, round(100 / n_partitions)) if mode == "mps" else 100
+        function = FleetFunction("srv", n_partitions * servers_per_partition,
+                                 self.policy.deadline_seconds, pct)
+        self._build(env, [function], [seed], spec, dtype_bytes,
+                    max_batch_size, respawn_seconds, None, mode,
+                    n_partitions, profile)
+        group = self.groups[function.name]
+        self.router = group.router
+        self.replicas = group.replicas
+
+    def _function_parts(self, spec: FleetFunction
+                        ) -> tuple[SLOPolicy, ResilienceStats, str]:
+        return self.policy, self.stats, "srv"
+
+    def _landed(self, group: FunctionGroup, kind: str) -> None:
+        """Counted in :meth:`apply_fault`, with every other event."""
+
+    def submit(self, n_tokens: int = 20):
+        """Route one request through the fleet (router passthrough)."""
+        return self.router.submit(n_tokens)
+
+    def report(self, horizon: float) -> dict:
+        return self.stats.report(horizon)
+
+    def apply_fault(self, event) -> str:
+        """Apply one fault: :attr:`stats` counts every applied event,
+        skipped ones included, and control-plane kinds are no-ops."""
+        handler = self._handler_for(event.kind)
+        self.stats.record_fault(event.kind)
+        if event.kind in _CONTROL_PLANE_KINDS:
+            return (f"{event.kind.replace('_', '-')}: "
+                    f"no control plane (skipped)")
+        return handler(event)

@@ -69,27 +69,23 @@ def check_horizon(pool: FluidPool, in_frame: bool) -> None:
 def forced_regime(threshold: int):
     """Run the block with both adaptive thresholds at ``threshold``,
     :func:`check_slots` after every reallocation and eviction, and
-    :func:`check_horizon` after every reallocation that re-arms."""
+    :func:`check_horizon` after every reallocation."""
     reallocate = FluidPool._reallocate
     evict = FluidPool._evict_slot
 
     def checked_reallocate(pool):
-        # Only a fresh allocation arms in _reallocate's frame; an
-        # unchanged one with the wakeup still armed keeps the wakeup
-        # computed at an earlier instant.
+        # Only a fresh allocation arms in _reallocate's frame.
         fresh = (pool._members_rev != pool._alloc_rev
                  or pool._epoch != pool._alloc_epoch)
-        kept = not fresh and pool._wakeup_pending
         built = pool._wake is not None
         reallocate(pool)
         assert len(pool._slot_task) == len(pool._tasks)
         for t in pool._tasks.values():
             assert pool._slot_task[t._slot] is t
         check_slots(pool)
-        if not kept:
-            r = pool._r
-            check_horizon(pool, fresh and built and len(r) < threshold
-                          and min(r, default=0.0) > 0.0)
+        r = pool._r
+        check_horizon(pool, fresh and built and len(r) < threshold
+                      and min(r, default=0.0) > 0.0)
 
     def checked_evict(pool, task):
         evict(pool, task)
