@@ -1,26 +1,21 @@
-"""Perf trajectory: timed kernel microbenchmarks + sweep wall-clocks.
+"""Bench report: sweep wall-clocks plus the modelled scale, resilience,
+autoscale and cluster sections.
 
-``repro bench`` times (a) the simulation kernel's hot paths in isolation
-and (b) the real paper sweeps serial vs parallel vs warm-cache, then
-writes ``BENCH_<date>.json``.  Committing one such file per perf-focused
-PR gives future changes a trajectory to regress against: if events/sec
-or a sweep wall-clock moves the wrong way, the diff that did it is one
-``git log BENCH_*.json`` away.
+``repro bench`` times the real paper sweeps serial vs parallel vs
+warm-cache and runs every bench scenario with its gate, then writes
+``BENCH_<date>.json``.  Speed comparisons between commits are made
+same-machine by ``perf/`` (``perf/compare.py``), not against these
+files: timings recorded on one machine say little about another.
 
-Schema (``repro-bench/8``)::
+Schema (``repro-bench/9``)::
 
     {
-      "schema": "repro-bench/8",
+      "schema": "repro-bench/9",
       "date": "YYYY-MM-DD",
       "git_sha": str | null,          # HEAD at collection time
       "quick": bool,                  # reduced sizes (CI smoke)
       "jobs": int,                    # worker processes for parallel runs
       "platform": {...},              # python / cpu_count
-      "profile": {...} | null,        # event-loop profiler summary
-                                      # (``--profile`` runs only): per-site
-                                      # event counts + wall attribution from
-                                      # a second, instrumented micro pass
-      "micro": {name: {..., "events_per_sec" | "per_sec": float}},
       "sweeps": {name: {"configs": int,
                         "serial_seconds": float,
                         "parallel_seconds": float,
@@ -28,21 +23,23 @@ Schema (``repro-bench/8``)::
                         "parallel_speedup": float,
                         "warm_speedup": float,
                         "cache_hit_rate": float}},
-      "scale": {                      # streaming vs legacy engine
+      "scale": {                      # trace-serving scale scenario
         "scenario": {...},            # fixed fleet topology + load
         "compare_n_requests": int,
         "streaming": {..., "events_per_sec": float, "rss_growth_kb": int},
-        "legacy": {...},              # identical sim, pre-change engine
-        "speedup": float,             # streaming / legacy events/sec
         "sharded": {                  # sharded vs single-process engine
           "n_cells": int, "cores": int,
           "events_digest": str,       # canonical merged-stream digest
           "single": {..., "events_per_sec": float},
           "sharded": {..., "worker_rss_growth_kb": [int, ...]},
           "speedup": float,           # sharded / single events/sec
-          "speedup_measured": bool,   # False below SHARDED_MIN_CORES
+          "speedup_measured": bool,   # False below gate.min_cores
           "gate": {"identical": bool, "speedup_floor": float,
-                   "speedup_enforced": bool, "pass": bool}
+                   "min_cores": int, "speedup_enforced": bool,
+                   "pass": bool},
+          "pair": {...}               # full runs only: the same shape,
+                                      # 2 full-size cells on 2 shards,
+                                      # floor 1.4x from 2 cores
         },
         "streaming_1m": {...}         # full runs only: 1M-request run
       },
@@ -96,9 +93,11 @@ Schema (``repro-bench/8``)::
 ``resilience`` section, ``/3`` reports the ``autoscale`` section, ``/4``
 reports the ``scale.sharded`` subsection, ``/5`` reports
 ``git_sha``/``profile``, ``/7`` reports the ``autoscale.chaos``
-subsection, and ``/8`` reports the ``cluster`` section; everything else
-is unchanged, so trajectory tooling can read all eight (readers must
-tolerate missing keys).
+subsection, ``/8`` reports the ``cluster`` section, and ``/9`` drops the
+host ``micro`` suite, the ``profile`` section and the raced
+``scale.legacy``/``scale.speedup`` engine and adds
+``scale.sharded.gate.min_cores`` and ``scale.sharded.pair``; everything
+else is unchanged (readers must tolerate missing keys).
 """
 
 from __future__ import annotations
@@ -113,88 +112,6 @@ from typing import Optional
 from repro.runner import ResultCache, SweepRunner, default_cache_dir
 
 __all__ = ["collect_bench", "write_bench_json", "default_bench_path"]
-
-
-# ------------------------------------------------------------------ micro
-
-def _bench_event_queue(n: int) -> dict:
-    from repro.sim.core import Environment
-
-    env = Environment()
-    t0 = time.perf_counter()
-    for i in range(n):
-        env.timeout(float(i % 97))
-    env.run()
-    dt = time.perf_counter() - t0
-    return {"n_events": env.events_processed, "seconds": dt,
-            "events_per_sec": env.events_processed / dt}
-
-
-def _bench_fluid_churn(n_tasks: int) -> dict:
-    from repro.sim.core import Environment
-    from repro.sim.fluid import FluidPool, FluidTask
-
-    env = Environment()
-
-    def equal(tasks):
-        share = 100.0 / len(tasks)
-        for t in tasks:
-            t.rate = share
-
-    pool = FluidPool(env, equal)
-
-    def submitter(env):
-        for i in range(n_tasks):
-            pool.add(FluidTask(env, work=float(1 + i % 13)))
-            yield env.timeout(0.05)
-
-    env.process(submitter(env))
-    t0 = time.perf_counter()
-    env.run()
-    dt = time.perf_counter() - t0
-    return {"n_tasks": n_tasks, "seconds": dt, "per_sec": n_tasks / dt,
-            "events_per_sec": env.events_processed / dt}
-
-
-def _bench_gpu_allocator(n_clients: int, n_kernels: int) -> dict:
-    """The fig4-shaped hot path: MPS clients streaming decode kernels."""
-    from repro.gpu.device import SimulatedGPU
-    from repro.gpu.mps import MpsControlDaemon
-    from repro.gpu.specs import A100_80GB
-    from repro.sim.core import Environment
-    from repro.workloads.llm import LLAMA2_7B, InferenceRuntime, LlamaInference
-
-    env = Environment()
-    gpu = SimulatedGPU(env, A100_80GB)
-    daemon = MpsControlDaemon(gpu)
-    daemon.start()
-    llm = LlamaInference(LLAMA2_7B, InferenceRuntime(dtype_bytes=2))
-
-    def stream(env, client):
-        for _ in range(n_kernels):
-            yield client.launch(llm.decode_kernel())
-            yield env.timeout(llm.host_seconds_per_token)
-
-    procs = [env.process(stream(env, daemon.client(f"c{i}")))
-             for i in range(n_clients)]
-    t0 = time.perf_counter()
-    env.run(until=env.all_of(procs))
-    dt = time.perf_counter() - t0
-    total = n_clients * n_kernels
-    return {"n_kernels": total, "seconds": dt, "per_sec": total / dt,
-            "events_per_sec": env.events_processed / dt}
-
-
-def _bench_decode_kernel(n: int) -> dict:
-    """Kernel-construction path (memoised after the first call)."""
-    from repro.workloads.llm import LLAMA2_7B, InferenceRuntime, LlamaInference
-
-    llm = LlamaInference(LLAMA2_7B, InferenceRuntime(dtype_bytes=2))
-    t0 = time.perf_counter()
-    for _ in range(n):
-        llm.decode_kernel()
-    dt = time.perf_counter() - t0
-    return {"n_calls": n, "seconds": dt, "per_sec": n / dt}
 
 
 # ------------------------------------------------------------------ sweeps
@@ -268,42 +185,12 @@ def _git_sha() -> Optional[str]:
     return sha if out.returncode == 0 and sha else None
 
 
-def _run_micro(micro_sizes: dict) -> dict:
-    return {
-        "event_queue": _bench_event_queue(*micro_sizes["event_queue"]),
-        "fluid_churn": _bench_fluid_churn(*micro_sizes["fluid_churn"]),
-        "gpu_allocator": _bench_gpu_allocator(*micro_sizes["gpu_allocator"]),
-        "decode_kernel": _bench_decode_kernel(*micro_sizes["decode_kernel"]),
-    }
-
-
-def collect_bench(quick: bool = False, jobs: Optional[int] = None,
-                  profile: bool = False) -> dict:
-    """Run every microbenchmark and sweep timing; return the report dict.
-
-    With ``profile=True`` the micro suite runs a second time under the
-    event-loop profiler and the per-site attribution summary lands in
-    the ``profile`` section — the timed numbers always come from the
-    uninstrumented pass, so profiled and plain reports stay comparable.
-    """
+def collect_bench(quick: bool = False, jobs: Optional[int] = None) -> dict:
+    """Run every sweep timing and bench scenario; return the report dict."""
     if jobs is None:
         from repro.runner import default_jobs
 
         jobs = default_jobs()
-    micro_sizes = {
-        "event_queue": (20_000,) if quick else (200_000,),
-        "fluid_churn": (300,) if quick else (2_000,),
-        "gpu_allocator": (4, 50) if quick else (4, 400),
-        "decode_kernel": (2_000,) if quick else (50_000,),
-    }
-    micro = _run_micro(micro_sizes)
-    profile_summary = None
-    if profile:
-        from repro.profile import profiling
-
-        with profiling() as prof:
-            _run_micro(micro_sizes)
-        profile_summary = prof.summary(top=10)
     sweeps = {name: _time_sweep(fn, jobs)
               for name, fn in _sweep_fns(quick).items()}
     from repro.bench.autoscale_experiments import autoscale_report
@@ -316,7 +203,7 @@ def collect_bench(quick: bool = False, jobs: Optional[int] = None,
     autoscale = autoscale_report(quick=quick)
     cluster = cluster_report(quick=quick)
     return {
-        "schema": "repro-bench/8",
+        "schema": "repro-bench/9",
         "date": datetime.date.today().isoformat(),
         "git_sha": _git_sha(),
         "quick": quick,
@@ -325,8 +212,6 @@ def collect_bench(quick: bool = False, jobs: Optional[int] = None,
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
         },
-        "profile": profile_summary,
-        "micro": micro,
         "sweeps": sweeps,
         "scale": scale,
         "resilience": resilience,
@@ -344,10 +229,9 @@ def default_bench_path(date: Optional[str] = None) -> str:
 
 
 def write_bench_json(path: Optional[str] = None, quick: bool = False,
-                     jobs: Optional[int] = None,
-                     profile: bool = False) -> tuple[str, dict]:
+                     jobs: Optional[int] = None) -> tuple[str, dict]:
     """Collect the report and write it; returns ``(path, report)``."""
-    report = collect_bench(quick=quick, jobs=jobs, profile=profile)
+    report = collect_bench(quick=quick, jobs=jobs)
     path = path or default_bench_path(report["date"])
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -6,22 +6,13 @@ fleet scale: a fully-partitioned A100-80GB (7 x ``1g.10gb`` MIG
 instances, each running an MPS daemon with 16 serving functions)
 under a sustained open-loop Poisson load of up to a million requests.
 
-Two engine configurations run the identical scenario:
-
-- ``streaming`` — the current engine: incremental allocator, pooled
-  timeouts, chunked gap draws, and streaming accumulators (no
-  per-request retention anywhere), so memory stays bounded however long
-  the trace.
-- ``legacy`` — the pre-incremental engine, reconstructed via the
-  compatibility switches: ``SimulatedGPU(incremental=False)`` (full
-  hierarchical recompute on every membership change),
-  ``Environment(pooling=False)`` (a fresh Timeout per event), and the
-  retaining client/server (every request and latency kept in lists).
-
-Both produce the same simulated clock and the same per-request
-latencies — the engines differ only in wall-clock and RSS, which is
-what the report records.  Each engine runs in a forked subprocess so
-``ru_maxrss`` growth measures that engine alone.
+The engine keeps no per-request state (incremental allocator, pooled
+timeouts, chunked gap draws, streaming accumulators), so memory stays
+bounded however long the trace.  Each run happens in a forked
+subprocess so ``ru_maxrss`` growth measures that run alone.  Speed
+comparisons between commits belong to ``perf/``; this section records
+the scenario's events/sec, RSS growth and latency summary, and the
+sharded engine's bit-identity and speedup gates.
 """
 
 from __future__ import annotations
@@ -33,7 +24,7 @@ from typing import Optional
 
 __all__ = ["build_trace_serving", "trace_serving_metrics",
            "trace_serving_scale", "scale_report", "sharded_scale_benchmark",
-           "sharded_speedup_note"]
+           "sharded_pair_benchmark", "sharded_speedup_note"]
 
 #: The fixed fleet topology (see module docstring).  Batch size 1 with
 #: 16-token completions is the paper's fine-grained sharing regime: many
@@ -45,26 +36,27 @@ MAX_BATCH_SIZE = 1
 N_TOKENS = 16
 
 #: Total offered load over the whole fleet, requests/second.  Must stay
-#: below fleet capacity or queues (and, in legacy mode, memory) grow
-#: without bound.  At batch size 1 the fleet is GPU-bound: capacity
-#: measures ~4.07 rps regardless of server count, so 3.88 rps ~= 95%
-#: utilisation — heavy enough that nearly every server keeps a kernel
-#: resident (~112 concurrent fluid tasks), light enough to stay stable.
+#: below fleet capacity or queues grow without bound.  At batch size 1
+#: the fleet is GPU-bound: capacity measures ~4.07 rps regardless of
+#: server count, so 3.88 rps ~= 95% utilisation — heavy enough that
+#: nearly every server keeps a kernel resident (~112 concurrent fluid
+#: tasks), light enough to stay stable.
 DEFAULT_RATE_RPS = 3.88
 
 
 def build_trace_serving(env, n_requests: int, rate_rps: float, seed: int,
-                        streaming: bool = True, stats=None) -> dict:
+                        stats=None) -> dict:
     """Construct the canonical scale fleet inside ``env``; return handles.
 
     One fully-partitioned A100-80GB (7 x ``1g.10gb``, 16 MPS serving
     functions each) plus its open-loop clients.  Shared by the bench
-    engines and the sharded simulation cells, so both build the
+    run and the sharded simulation cells, so both build the
     *identical* scenario — the bit-identity the differential tests
     assert rests on this single construction path.
 
-    ``stats`` (any object with ``add(latency)``) is handed to every
-    streaming client; pass a recording wrapper to tap completions.
+    ``stats`` (any object with ``add(latency)``, by default a fresh
+    :class:`StreamingLatencyStats`) is handed to every client; pass a
+    recording wrapper to tap completions.
     Returns ``{"gpu", "manager", "servers", "clients", "stats",
     "n_servers", "n_requests"}``.
     """
@@ -80,15 +72,14 @@ def build_trace_serving(env, n_requests: int, rate_rps: float, seed: int,
     # Pin cross_check off: this is a performance measurement, and an
     # inherited REPRO_ALLOC_CHECK=1 would make the incremental engine
     # run the full recompute after every allocation anyway.
-    gpu = SimulatedGPU(env, A100_80GB, incremental=streaming,
-                       cross_check=False)
+    gpu = SimulatedGPU(env, A100_80GB, cross_check=False)
     manager = MigManager(gpu)
     env.run(until=env.process(manager.enable()))
     # int8 weights: LLaMa-2-7B fits a 1g.10gb slice.
     llm = LlamaInference(LLAMA2_7B, InferenceRuntime(dtype_bytes=1))
 
     n_servers = N_INSTANCES * SERVERS_PER_INSTANCE
-    if streaming and stats is None:
+    if stats is None:
         stats = StreamingLatencyStats()
     servers: list[InferenceServer] = []
     clients: list[OpenLoopClient] = []
@@ -100,39 +91,31 @@ def build_trace_serving(env, n_requests: int, rate_rps: float, seed: int,
             k = i * SERVERS_PER_INSTANCE + j
             server = InferenceServer(
                 env, daemon.client(f"srv{k}"), llm,
-                max_batch_size=MAX_BATCH_SIZE,
-                keep_completed=not streaming,
-                kernel_cache=streaming)
+                max_batch_size=MAX_BATCH_SIZE, keep_completed=False)
             servers.append(server)
             clients.append(OpenLoopClient(
                 env, server, rate_rps=rate_rps / n_servers,
                 n_requests=per_server, n_tokens=N_TOKENS,
                 rng=np.random.default_rng(seed + k),
-                streaming=streaming, stats=stats))
+                streaming=True, stats=stats))
     return {"gpu": gpu, "manager": manager, "servers": servers,
             "clients": clients, "stats": stats, "n_servers": n_servers,
             "n_requests": per_server * n_servers}
 
 
-def trace_serving_metrics(env, handles: dict, engine: str,
-                          rate_rps: float) -> dict:
-    """The deterministic half of the engine metrics dict.
+def trace_serving_metrics(env, handles: dict, rate_rps: float) -> dict:
+    """The deterministic half of the scale metrics dict.
 
     Everything here is a pure function of (seed, config) — wall clock
-    and RSS are layered on by :func:`_run_engine`, and excluded when
+    and RSS are layered on by :func:`_run_scale`, and excluded when
     the differential tests compare sharded against single-process runs.
     """
-    from repro.telemetry import summarize
-
-    streaming = engine == "streaming"
-    if streaming:
-        lat = handles["stats"].stats()
-    else:
-        lat = summarize([r.latency for s in handles["servers"]
-                         for r in s.completed])
+    lat = handles["stats"].stats()
     gpu = handles["gpu"]
     return {
-        "engine": engine,
+        # A constant, but part of every sharded scale cell's payload
+        # and so of its digest.
+        "engine": "streaming",
         "n_requests": handles["n_requests"],
         "n_servers": handles["n_servers"],
         "rate_rps": rate_rps,
@@ -152,18 +135,12 @@ def trace_serving_metrics(env, handles: dict, engine: str,
     }
 
 
-def _run_engine(engine: str, n_requests: int, rate_rps: float,
-                seed: int) -> dict:
-    """Run one engine configuration inline; returns the metrics dict."""
+def _run_scale(n_requests: int, rate_rps: float, seed: int) -> dict:
+    """Run the scale scenario inline; returns the metrics dict."""
     from repro.sim.core import Environment
 
-    if engine not in ("streaming", "legacy"):
-        raise ValueError(f"unknown engine {engine!r}")
-    streaming = engine == "streaming"
-
-    env = Environment(pooling=streaming)
-    handles = build_trace_serving(env, n_requests, rate_rps, seed,
-                                  streaming=streaming)
+    env = Environment()
+    handles = build_trace_serving(env, n_requests, rate_rps, seed)
 
     rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     t0 = time.perf_counter()
@@ -171,7 +148,7 @@ def _run_engine(engine: str, n_requests: int, rate_rps: float,
     wall = time.perf_counter() - t0
     rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
-    metrics = trace_serving_metrics(env, handles, engine, rate_rps)
+    metrics = trace_serving_metrics(env, handles, rate_rps)
     metrics["wall_seconds"] = wall
     metrics["events_per_sec"] = (env.events_processed / wall
                                  if wall > 0 else 0.0)
@@ -179,19 +156,19 @@ def _run_engine(engine: str, n_requests: int, rate_rps: float,
     return metrics
 
 
-def _subprocess_target(conn, engine, n_requests, rate_rps, seed):
+def _subprocess_target(conn, n_requests, rate_rps, seed):
     try:
-        conn.send(_run_engine(engine, n_requests, rate_rps, seed))
+        conn.send(_run_scale(n_requests, rate_rps, seed))
     except BaseException as exc:  # pragma: no cover - forwarded to parent
         conn.send({"error": f"{type(exc).__name__}: {exc}"})
     finally:
         conn.close()
 
 
-def trace_serving_scale(engine: str, n_requests: int,
+def trace_serving_scale(n_requests: int,
                         rate_rps: float = DEFAULT_RATE_RPS,
                         seed: int = 0, isolate: bool = True) -> dict:
-    """Run the scale scenario under one engine; returns the metrics dict.
+    """Run the scale scenario; returns the metrics dict.
 
     With ``isolate=True`` (the default) the run happens in a forked
     child process, so its ``rss_growth_kb`` is not polluted by whatever
@@ -200,11 +177,11 @@ def trace_serving_scale(engine: str, n_requests: int,
     later one.
     """
     if not isolate:
-        return _run_engine(engine, n_requests, rate_rps, seed)
+        return _run_scale(n_requests, rate_rps, seed)
     ctx = multiprocessing.get_context("fork")
     parent, child = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_subprocess_target,
-                       args=(child, engine, n_requests, rate_rps, seed))
+                       args=(child, n_requests, rate_rps, seed))
     proc.start()
     child.close()
     try:
@@ -225,27 +202,38 @@ SHARDED_N_CELLS = 7
 #: to parallelise onto).
 SHARDED_SPEEDUP_FLOOR = 5.0
 SHARDED_MIN_CORES = 6
+#: The two-shard gate, which runs wherever two cores exist: two
+#: full-size cells on two worker processes against one process.  At
+#: the quick size (400 requests per cell) process start-up dominates
+#: and the ratio reads 1.00x, so only full-size runs carry this gate.
+PAIR_N_CELLS = 2
+PAIR_REQUESTS_PER_CELL = 4_000
+PAIR_SPEEDUP_FLOOR = 1.4
+PAIR_MIN_CORES = 2
 
 
 def sharded_scale_benchmark(quick: bool = False, seed: int = 0,
                             n_requests_per_cell: Optional[int] = None,
                             n_cells: int = SHARDED_N_CELLS,
                             n_shards: Optional[int] = None,
-                            epoch_seconds: float = 60.0) -> dict:
+                            epoch_seconds: float = 60.0,
+                            speedup_floor: float = SHARDED_SPEEDUP_FLOOR,
+                            min_cores: int = SHARDED_MIN_CORES) -> dict:
     """The ``sharded`` subsection of the ``scale`` bench section.
 
     Runs the identical ``n_cells``-device workload twice — once
-    in-process on one shard (the current streaming engine, serialised)
-    and once over ``n_shards`` worker processes — then gates on two
-    things: the deterministic payloads must be bit-identical (shard
-    count is an execution detail, not a model input), and on a
-    multi-core runner (>= ``SHARDED_MIN_CORES`` cores) the sharded run
-    must clear ``SHARDED_SPEEDUP_FLOOR``x the single-process events/sec.
-    Below that core count the ratio says nothing about the engine, so
-    ``speedup_measured`` is false and reports print it as unmeasured.
-    Worker RSS growth is reported per shard so a leak in any one cell
-    process is visible rather than averaged away.
+    in-process on one shard (serialised) and once over ``n_shards``
+    worker processes — then gates on two things: the deterministic
+    payloads must be bit-identical (shard count is an execution detail,
+    not a model input), and on a runner with at least ``min_cores``
+    cores the sharded run must clear ``speedup_floor``x the
+    single-process events/sec.  Below that core count the ratio says
+    nothing about the engine, so ``speedup_measured`` is false and
+    reports print it as unmeasured.  Worker RSS growth is reported per
+    shard so a leak in any one cell process is visible rather than
+    averaged away.
     """
+
     import json
     import os
 
@@ -286,14 +274,14 @@ def sharded_scale_benchmark(quick: bool = False, seed: int = 0,
     identical = payload(single_out) == payload(sharded_out)
     speedup = (sharded["events_per_sec"] / single["events_per_sec"]
                if single["events_per_sec"] > 0 else 0.0)
-    enforced = cores >= SHARDED_MIN_CORES and n_shards >= SHARDED_SPEEDUP_FLOOR
+    enforced = cores >= min_cores and n_shards >= speedup_floor
     gate = {
         "identical": identical,
-        "speedup_floor": SHARDED_SPEEDUP_FLOOR,
+        "speedup_floor": speedup_floor,
+        "min_cores": min_cores,
         "speedup": speedup,
         "speedup_enforced": enforced,
-        "pass": identical and (not enforced
-                               or speedup >= SHARDED_SPEEDUP_FLOOR),
+        "pass": identical and (not enforced or speedup >= speedup_floor),
     }
     return {
         "n_cells": n_cells,
@@ -305,36 +293,40 @@ def sharded_scale_benchmark(quick: bool = False, seed: int = 0,
         "single": single,
         "sharded": sharded,
         "speedup": speedup,
-        "speedup_measured": cores >= SHARDED_MIN_CORES,
+        "speedup_measured": cores >= min_cores,
         "gate": gate,
     }
 
 
 def sharded_speedup_note(sharded: dict) -> str:
     """One line on the sharded speedup of a ``scale.sharded`` report."""
+    gate = sharded["gate"]
     if not sharded["speedup_measured"]:
         return (f"sharded speedup: unmeasured "
-                f"({sharded['cores']} cores < {SHARDED_MIN_CORES})")
-    gate = sharded["gate"]
+                f"({sharded['cores']} cores < {gate['min_cores']})")
     mode = "enforced" if gate["speedup_enforced"] else "advisory"
     return (f"sharded speedup: {sharded['speedup']:.2f}x "
-            f"(floor {gate['speedup_floor']:.0f}x {mode})")
+            f"(floor {gate['speedup_floor']:g}x {mode})")
 
 
-def scale_report(quick: bool = False, seed: int = 0,
-                 n_requests: Optional[int] = None) -> dict:
+def sharded_pair_benchmark(seed: int = 0) -> dict:
+    """The two-shard gate: :func:`sharded_scale_benchmark` on
+    ``PAIR_N_CELLS`` full-size cells over two workers, floor
+    ``PAIR_SPEEDUP_FLOOR``x, enforced from ``PAIR_MIN_CORES`` cores."""
+    return sharded_scale_benchmark(
+        seed=seed, n_requests_per_cell=PAIR_REQUESTS_PER_CELL,
+        n_cells=PAIR_N_CELLS, n_shards=2, speedup_floor=PAIR_SPEEDUP_FLOOR,
+        min_cores=PAIR_MIN_CORES)
+
+
+def scale_report(quick: bool = False, seed: int = 0) -> dict:
     """The ``scale`` section of ``BENCH_<date>.json``.
 
-    Runs the streaming engine and the legacy engine on the same
-    scenario at a comparison size (both engines, so the speedup is
-    apples-to-apples), then — unless ``quick`` — the streaming engine
-    alone at the million-request headline size (the legacy engine at
-    that size is exactly the slow, memory-unbounded case this PR
-    removes).
+    Runs the scenario at 2,500 requests (``quick``) or 25,000, then the
+    sharded engine's gates — the two-shard gate only at full size —
+    and, unless ``quick``, the million-request headline run.
     """
-    compare_n = n_requests or (2_500 if quick else 25_000)
-    streaming = trace_serving_scale("streaming", compare_n, seed=seed)
-    legacy = trace_serving_scale("legacy", compare_n, seed=seed)
+    compare_n = 2_500 if quick else 25_000
     report = {
         "scenario": {
             "gpu": "A100_80GB",
@@ -346,13 +338,10 @@ def scale_report(quick: bool = False, seed: int = 0,
             "rate_rps": DEFAULT_RATE_RPS,
         },
         "compare_n_requests": compare_n,
-        "streaming": streaming,
-        "legacy": legacy,
-        "speedup": (streaming["events_per_sec"] / legacy["events_per_sec"]
-                    if legacy["events_per_sec"] > 0 else 0.0),
+        "streaming": trace_serving_scale(compare_n, seed=seed),
     }
     report["sharded"] = sharded_scale_benchmark(quick=quick, seed=seed)
     if not quick:
-        report["streaming_1m"] = trace_serving_scale(
-            "streaming", 1_000_000, seed=seed)
+        report["sharded"]["pair"] = sharded_pair_benchmark(seed=seed)
+        report["streaming_1m"] = trace_serving_scale(1_000_000, seed=seed)
     return report

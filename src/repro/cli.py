@@ -195,12 +195,7 @@ def _cmd_bench(args, ctx) -> str:
     from repro.bench.scale_experiments import sharded_speedup_note
 
     path, report = write_bench_json(path=args.out, quick=args.quick,
-                                    jobs=ctx.jobs,
-                                    profile=getattr(args, "profile", False))
-    rows = [[name, f"{m.get('events_per_sec', m.get('per_sec', 0)):,.0f}"]
-            for name, m in sorted(report["micro"].items())]
-    micro = format_table(["microbenchmark", "events|items / s"], rows,
-                         title="Simulation kernel hot paths")
+                                    jobs=ctx.jobs)
     rows = [
         [name, s["configs"], f"{s['serial_seconds']:.2f}",
          f"{s['parallel_seconds']:.2f}", f"{s['warm_seconds']:.3f}",
@@ -212,19 +207,17 @@ def _cmd_bench(args, ctx) -> str:
          "warm speedup", "hit rate"],
         rows, title=f"Sweep wall-clock (jobs={report['jobs']})")
     scale = report["scale"]
-    engines = [scale["streaming"], scale["legacy"]]
+    runs = [scale["streaming"]]
     if "streaming_1m" in scale:
-        engines.append(scale["streaming_1m"])
+        runs.append(scale["streaming_1m"])
     rows = [
-        [e["engine"] + ("" if e["n_requests"] != 1_000_000 else " (1M)"),
-         f"{e['n_requests']:,}", f"{e['wall_seconds']:.2f}",
+        [f"{e['n_requests']:,}", f"{e['wall_seconds']:.2f}",
          f"{e['events_per_sec']:,.0f}", f"{e['rss_growth_kb']:,}",
          f"{e['latency']['mean']:.3f}"]
-        for e in engines
+        for e in runs
     ]
     scale_table = format_table(
-        ["engine", "requests", "wall s", "events/s", "rss growth kB",
-         "mean lat s"],
+        ["requests", "wall s", "events/s", "rss growth kB", "mean lat s"],
         rows, title=f"Trace-serving scale ({scale['scenario']['topology']})")
     sh = scale["sharded"]
     sh_gate = sh["gate"]
@@ -242,6 +235,11 @@ def _cmd_bench(args, ctx) -> str:
         title=f"Sharded scale ({sh['n_cells']} cells, {sh['cores']} cores, "
               f"gate {'PASS' if sh_gate['pass'] else 'FAIL'})")
     sharded_note = sharded_speedup_note(sh)
+    if "pair" in sh:
+        pair = sh["pair"]
+        sharded_note += (f"\ntwo-shard gate "
+                         f"({'PASS' if pair['gate']['pass'] else 'FAIL'}): "
+                         f"{sharded_speedup_note(pair)}")
     res = report["resilience"]
     fleet, gate, blast = res["fleet"], res["gate"], res["blast_radius"]
     rows = [
@@ -308,24 +306,12 @@ def _cmd_bench(args, ctx) -> str:
         title=f"Cluster placement ({contest['n_gpus']} GPUs, "
               f"{contest['n_functions']} functions, "
               f"gate {'PASS' if clu_gate['pass'] else 'FAIL'})")
-    out = (f"{micro}\n\n{sweeps}\n\n{scale_table}\n"
-           f"streaming vs legacy speedup: {scale['speedup']:.2f}x"
-           f"\n\n{sharded_table}\n{sharded_note}"
-           f"\n\n{res_table}"
-           f"\n\n{asc_table}"
-           f"\n\n{clu_table}")
-    if report.get("profile"):
-        prof = report["profile"]
-        rows = [[s["site"].split("/src/")[-1], f"{s['events']:,}",
-                 f"{s['wall_pct']:.1f}%"]
-                for s in prof["top_sites"]]
-        prof_table = format_table(
-            ["callback site", "events", "wall %"], rows,
-            title=f"Event-loop profile ({prof['events']:,} events, "
-                  f"{prof['distinct_sites']} sites, "
-                  f"{prof['wall_seconds_in_callbacks']:.2f}s in callbacks)")
-        out += f"\n\n{prof_table}"
-    return out + f"\n\nwrote {path}"
+    return (f"{sweeps}\n\n{scale_table}"
+            f"\n\n{sharded_table}\n{sharded_note}"
+            f"\n\n{res_table}"
+            f"\n\n{asc_table}"
+            f"\n\n{clu_table}"
+            f"\n\nwrote {path}")
 
 
 def _cmd_cluster(args, ctx) -> str:
@@ -676,11 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repartitions", type=int, default=4)
     p.set_defaults(fn=_cmd_weightcache)
 
-    p = sub.add_parser("bench", help="time hot paths & sweeps, write JSON")
-    p.add_argument("--profile", action="store_true",
-                   help="also run the micro suite under the event-loop "
-                        "profiler; per-site attribution lands in the "
-                        "report's 'profile' section")
+    p = sub.add_parser("bench",
+                       help="time sweeps, run the bench gates, write JSON")
     p.add_argument("--quick", action="store_true",
                    help="reduced sizes (CI smoke run)")
     p.add_argument("--out", default=None, metavar="PATH",
@@ -719,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "canonical control-plane plan)")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="run the scenario sharded over N worker "
-                        "processes (default: legacy single process)")
+                        "processes (default: single process)")
     p.add_argument("--cells", type=int, default=None, metavar="K",
                    help="device cells in the sharded fleet "
                         "(default: one per shard)")

@@ -175,20 +175,6 @@ class EventLoopProfiler:
     def report_json(self, top: int = 25, indent: int = 2) -> str:
         return json.dumps(self.report(top), indent=indent)
 
-    def summary(self, top: int = 5) -> dict[str, Any]:
-        """Compact summary for embedding into bench JSON."""
-        rep = self.report(top)
-        return {
-            "events": rep["events"],
-            "distinct_sites": rep["distinct_sites"],
-            "wall_seconds_in_callbacks": rep["wall_seconds_in_callbacks"],
-            "top_sites": [
-                {"site": r["site"], "events": r["events"],
-                 "wall_pct": round(r["wall_pct"], 2)}
-                for r in rep["sites"]
-            ],
-        }
-
 
 @contextmanager
 def profiling(env: Optional["Environment"] = None,

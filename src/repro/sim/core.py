@@ -267,7 +267,7 @@ class Environment:
     #: :meth:`timeout_pooled`); past this, extras are left to the GC.
     _POOL_LIMIT = 256
 
-    def __init__(self, initial_time: float = 0.0, pooling: bool = True):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
@@ -278,7 +278,6 @@ class Environment:
         self.gpus: list = []
         #: Free list of processed recyclable timeouts.
         self._tpool: list[Timeout] = []
-        self._pooling = bool(pooling)
         #: Armed wakeup slots (slot -> its heap key) and the earliest of
         #: those keys, or ``None`` — see :meth:`arm`.
         self._timers: dict[WakeupSlot, tuple] = {}
@@ -331,7 +330,7 @@ class Environment:
             self._enqueue(ev, NORMAL, delay=delay)
             return ev
         ev = Timeout(self, delay)
-        ev._recycle = self._pooling
+        ev._recycle = True
         return ev
 
     def all_of(self, events: Iterable[Event]) -> AllOf:

@@ -55,6 +55,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict
+from functools import reduce
+from operator import add
 from typing import Optional
 
 from repro.partition.autoscaler import (
@@ -597,7 +599,10 @@ class FleetAutoscaler:
                        aborted: Optional[list] = None) -> None:
         env = self.fleet.env
         hits = sum(1 for entry in results if entry["weight_cache_hit"])
-        downtime = sum(entry["downtime_seconds"] for entry in results)
+        # A left fold: the builtin ``sum`` compensates float rounding
+        # from Python 3.12 (see the merged ``gpu_seconds`` in shardcells).
+        downtime = reduce(add, (entry["downtime_seconds"]
+                                for entry in results), 0.0)
         if technique == "mig":
             cost = self.planner.mig_repartition_cost(
                 group.model_load_seconds, n_cotenants=n_cotenants)

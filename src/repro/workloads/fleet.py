@@ -404,7 +404,7 @@ class AutoscaledServingFleet:
         return InferenceServer(
             self.env, client, self.llm,
             max_batch_size=self.max_batch_size,
-            keep_completed=False, kernel_cache=True,
+            keep_completed=False,
             name=f"{group.prefix}{index}")
 
     # -- client API ---------------------------------------------------------

@@ -112,7 +112,6 @@ class InferenceServer:
                  llm: LlamaInference, max_batch_size: int = 4,
                  batch_timeout: float = 0.01,
                  keep_completed: bool = True,
-                 kernel_cache: bool = True,
                  on_complete: Optional[
                      Callable[[InferenceRequest], None]] = None,
                  on_failure: Optional[
@@ -129,7 +128,6 @@ class InferenceServer:
         self.max_batch_size = max_batch_size
         self.batch_timeout = batch_timeout
         self.keep_completed = keep_completed
-        self.kernel_cache = kernel_cache
         # Kernel objects are immutable values: the decode kernel for a
         # given batch size never changes over a server's lifetime, so
         # memoising it avoids rebuilding an identical Kernel per decode
@@ -471,17 +469,15 @@ class InferenceServer:
 
         Weight traffic is read once for the whole batch; FLOPs and
         KV-cache traffic scale linearly; usable parallelism grows with
-        the batch (more rows in every GEMM).  With ``kernel_cache`` the
-        Kernel for each batch size is built once and reused (kernels
-        are immutable values — see :mod:`repro.gpu.kernel`).
+        the batch (more rows in every GEMM).  The Kernel for each batch
+        size is built once and reused (kernels are immutable values —
+        see :mod:`repro.gpu.kernel`).
         """
-        if self.kernel_cache:
-            kernel = self._kernel_by_batch.get(batch_size)
-            if kernel is None:
-                kernel = self._build_batched_kernel(batch_size)
-                self._kernel_by_batch[batch_size] = kernel
-            return kernel
-        return self._build_batched_kernel(batch_size)
+        kernel = self._kernel_by_batch.get(batch_size)
+        if kernel is None:
+            kernel = self._build_batched_kernel(batch_size)
+            self._kernel_by_batch[batch_size] = kernel
+        return kernel
 
     def _build_batched_kernel(self, batch_size: int) -> Kernel:
         base = self.llm.decode_kernel()

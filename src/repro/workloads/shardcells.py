@@ -29,6 +29,8 @@ fresh accumulators (see :mod:`repro.telemetry.streaming`).
 from __future__ import annotations
 
 import hashlib
+from functools import reduce
+from operator import add
 from typing import Optional
 
 from repro.sim.rng import substream_seed
@@ -137,15 +139,14 @@ class ScaleCell(_ScenarioCell):
         stats = _RecordingStats(self.env, self._events,
                                 StreamingLatencyStats())
         self.handles = build_trace_serving(
-            self.env, n_requests, rate_rps, seed, streaming=True,
-            stats=stats)
+            self.env, n_requests, rate_rps, seed, stats=stats)
         self._stop = self.env.all_of(
             [c.done for c in self.handles["clients"]])
 
     def result(self) -> dict:
         from repro.bench.scale_experiments import trace_serving_metrics
 
-        return trace_serving_metrics(self.env, self.handles, "streaming",
+        return trace_serving_metrics(self.env, self.handles,
                                      self.rate_rps)
 
 
@@ -414,7 +415,11 @@ def sharded_autoscale_report(horizon: float, autoscale: bool,
     merged["events_processed"] = sum(c["events"] for c in out["cells"])
     merged["slo_good_fraction"] = (merged["slo_ok"] / merged["offered"]
                                    if merged["offered"] else 0.0)
-    merged["gpu_seconds"] = sum(c["gpu_seconds"] for c in out["cells"])
+    # A left fold, not the builtin ``sum``: from Python 3.12 that
+    # compensates float rounding, and the payload would then depend on
+    # the interpreter's minor version.
+    merged["gpu_seconds"] = reduce(add, (c["gpu_seconds"]
+                                         for c in out["cells"]), 0.0)
     merged["resize_aborts"] = sum(
         (c["autoscaler"] or {}).get("resize_aborts", 0)
         for c in out["cells"])

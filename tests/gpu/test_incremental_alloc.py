@@ -31,7 +31,6 @@ palette and replay each schedule twice on one device.  The class cache
 so its scenarios launch one shared set of kernels throughout.
 """
 
-import math
 import random
 import sys
 from unittest import mock
@@ -52,6 +51,7 @@ from repro.gpu.device import AllocatorMismatch
 from repro.gpu.memory import MemoryPool
 from repro.gpu.vgpu import VgpuManager
 from repro.sim import Environment
+from tests.pysum import sum_py312
 from tests.regimes import REGIMES, forced_regime
 
 SPEC = A100_40GB
@@ -226,33 +226,10 @@ def test_cancellation_keeps_paths_identical_regimes(regime, schedule):
         assert _cancel_run(schedule, True) == _cancel_run(schedule, False)
 
 
-def _sum_py312(iterable, start=0):
-    """The builtin ``sum`` of Python 3.12+: once the running total is a
-    float, items are added with Neumaier compensation, applied once at
-    the end (when finite)."""
-    items = iter(iterable)
-    total = start
-    for x in items:
-        total = total + x
-        if isinstance(total, float):
-            break
-    comp = 0.0
-    for x in items:
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    if comp and math.isfinite(comp):
-        total += comp
-    return total
-
-
 def test_sum_emulation_compensates():
-    assert _sum_py312([1.0, 1e100, 1.0, -1e100]) == 2.0
-    assert _sum_py312([0.1] * 10) == 1.0
-    assert _sum_py312([True, False, True]) == 2
+    assert sum_py312([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert sum_py312([0.1] * 10) == 1.0
+    assert sum_py312([True, False, True]) == 2
 
 
 @pytest.mark.skipif(sys.version_info < (3, 12),
@@ -262,13 +239,13 @@ def test_sum_emulation_matches_builtin():
     for _ in range(500):
         values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12)
                   for _ in range(rng.randint(0, 30))]
-        assert _sum_py312(values) == sum(values)
+        assert sum_py312(values) == sum(values)
 
 
 def _paths_agree_under_sum_py312(topology, regime, schedule):
-    """Twin runs with ``_sum_py312`` patched into the device module as
+    """Twin runs with ``sum_py312`` patched into the device module as
     ``sum``; the cross-check guards every allocation on the way."""
-    with mock.patch.object(device, "sum", _sum_py312, create=True), \
+    with mock.patch.object(device, "sum", sum_py312, create=True), \
             forced_regime(regime):
         inc_times, inc_now, _ = _run(topology, schedule, incremental=True)
         full_times, full_now, _ = _run(topology, schedule,

@@ -137,8 +137,7 @@ def test_adding_a_cell_never_perturbs_existing_cells():
 def test_one_cell_matches_legacy_scale_engine():
     from repro.bench.scale_experiments import trace_serving_scale
 
-    legacy = trace_serving_scale("streaming", SCALE_REQUESTS, seed=3,
-                                 isolate=False)
+    legacy = trace_serving_scale(SCALE_REQUESTS, seed=3, isolate=False)
     # Wall clock and RSS are measurements of the run, not of the model.
     for key in ("wall_seconds", "events_per_sec", "rss_growth_kb"):
         legacy.pop(key)

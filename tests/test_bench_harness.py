@@ -74,3 +74,26 @@ def test_sharded_speedup_note_prints_measured_ratio():
                "gate": {"speedup_floor": 5.0, "speedup_enforced": True}}
     assert sharded_speedup_note(sharded) == \
         "sharded speedup: 5.43x (floor 5x enforced)"
+
+
+def test_two_shard_gate_below_two_cores_is_unmeasured(monkeypatch):
+    from repro.bench import scale_experiments as se
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    report = se.sharded_scale_benchmark(
+        n_requests_per_cell=20, n_cells=se.PAIR_N_CELLS, n_shards=2,
+        speedup_floor=se.PAIR_SPEEDUP_FLOOR, min_cores=se.PAIR_MIN_CORES)
+    assert report["speedup_measured"] is False
+    assert report["gate"]["speedup_enforced"] is False
+    assert report["gate"]["identical"] and report["gate"]["pass"]
+    assert se.sharded_speedup_note(report) == \
+        "sharded speedup: unmeasured (1 cores < 2)"
+
+
+def test_two_shard_note_prints_fractional_floor():
+    from repro.bench.scale_experiments import sharded_speedup_note
+
+    sharded = {"cores": 2, "speedup": 1.634, "speedup_measured": True,
+               "gate": {"speedup_floor": 1.4, "speedup_enforced": True}}
+    assert sharded_speedup_note(sharded) == \
+        "sharded speedup: 1.63x (floor 1.4x enforced)"

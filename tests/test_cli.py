@@ -109,33 +109,21 @@ def test_bench_quick_writes_wellformed_json(capsys, tmp_path):
     import json
 
     out_path = tmp_path / "bench.json"
-    out = run_cli(capsys, "--jobs", "1", "bench", "--quick", "--profile",
+    out = run_cli(capsys, "--jobs", "1", "bench", "--quick",
                   "--out", str(out_path))
     assert "wrote" in out
     report = json.loads(out_path.read_text())
-    assert report["schema"] == "repro-bench/8"
+    assert report["schema"] == "repro-bench/9"
     assert report["quick"] is True
-    assert report["micro"]["event_queue"]["events_per_sec"] > 0
-    # repro-bench/6: provenance SHA and (with --profile) the event-loop
-    # profiler's per-site attribution summary.
+    # repro-bench/6: provenance SHA.
     assert "git_sha" in report
-    prof = report["profile"]
-    assert prof["events"] > 0
-    assert prof["top_sites"] and all("site" in r for r in prof["top_sites"])
     for sweep in report["sweeps"].values():
         assert sweep["configs"] > 0
         assert sweep["cache_hit_rate"] == 1.0
     scale = report["scale"]
-    assert scale["speedup"] > 1.0
     assert "streaming_1m" not in scale  # full runs only
-    for engine in ("streaming", "legacy"):
-        assert scale[engine]["events_per_sec"] > 0
-    # Identical simulation under both engines: same clock, same events,
-    # same latency distribution.
-    assert scale["streaming"]["sim_seconds"] == scale["legacy"]["sim_seconds"]
-    assert scale["streaming"]["events"] == scale["legacy"]["events"]
-    assert scale["streaming"]["latency"]["mean"] == pytest.approx(
-        scale["legacy"]["latency"]["mean"], rel=1e-9)
+    assert "pair" not in scale["sharded"]  # full runs only
+    assert scale["streaming"]["events_per_sec"] > 0
     sharded = scale["sharded"]
     assert sharded["gate"]["identical"] is True
     assert sharded["gate"]["pass"] is True
@@ -167,6 +155,24 @@ def test_bench_quick_writes_wellformed_json(capsys, tmp_path):
     assert cluster["gate"]["pass"] is True
     assert cluster["feedback"]["drift_triggered"] is True
     assert "Cluster placement" in out
+
+
+def test_sharded_autoscale_payload_is_independent_of_the_builtin_sum(
+        capsys, tmp_path, monkeypatch):
+    """From Python 3.12 the builtin ``sum`` compensates float rounding;
+    the payload must come out byte-identical under either ``sum``."""
+    import builtins
+
+    from tests.pysum import sum_py312
+
+    argv = ("serve", "--autoscale", "--chaos", "--horizon", "300",
+            "--shards", "1", "--cells", "3", "--out")
+    run_cli(capsys, *argv, str(tmp_path / "py311.json"))
+    with monkeypatch.context() as patched:
+        patched.setattr(builtins, "sum", sum_py312)
+        run_cli(capsys, *argv, str(tmp_path / "py312.json"))
+    assert (tmp_path / "py312.json").read_text() == \
+        (tmp_path / "py311.json").read_text()
 
 
 def test_serve_command_writes_report(capsys, tmp_path):

@@ -122,11 +122,11 @@ def test_validation():
 
 # ------------------------------------------------------- streaming mode
 
-def _run_fleet(streaming, n_requests=60, rate=4.0, pooling=True):
+def _run_fleet(streaming, n_requests=60, rate=4.0):
     """One MPS-partitioned server pair under open-loop Poisson load."""
     from repro.telemetry.streaming import StreamingLatencyStats
 
-    env = Environment(pooling=pooling)
+    env = Environment()
     gpu = SimulatedGPU(env, A100_80GB, incremental=streaming)
     daemon = MpsControlDaemon(gpu)
     daemon.start()
@@ -156,11 +156,13 @@ def _run_fleet(streaming, n_requests=60, rate=4.0, pooling=True):
     return env, lat, retained, sum(s.n_completed for s in servers)
 
 
-def test_streaming_mode_matches_legacy_exactly():
+def test_streaming_mode_matches_legacy_exactly(monkeypatch):
     """Same arrivals, same clock, same exact latency aggregates."""
     env_s, lat_s, retained_s, done_s = _run_fleet(streaming=True)
-    env_l, lat_l, retained_l, done_l = _run_fleet(streaming=False,
-                                                  pooling=False)
+    # The reference run recycles no timeout (a free-list limit of 0),
+    # recomputes every allocation in full and retains every request.
+    monkeypatch.setattr(Environment, "_POOL_LIMIT", 0)
+    env_l, lat_l, retained_l, done_l = _run_fleet(streaming=False)
     assert env_s.now == env_l.now
     assert env_s.events_processed == env_l.events_processed
     assert done_s == done_l == 60
@@ -176,15 +178,18 @@ def test_streaming_mode_retains_nothing():
     assert retained == 0
 
 
-def test_kernel_cache_is_invisible():
-    def run(kernel_cache):
+def test_kernel_cache_is_invisible(monkeypatch):
+    def run():
         env, server, llm = make_server(max_batch_size=4)
-        server.kernel_cache = kernel_cache
         reqs = [server.submit(n_tokens=5) for _ in range(6)]
         env.run(until=env.all_of([r.done for r in reqs]))
         return env.now, [r.latency for r in reqs]
 
-    assert run(True) == run(False)
+    cached = run()
+    # The reference run builds a fresh kernel for every decode step.
+    monkeypatch.setattr(InferenceServer, "batched_decode_kernel",
+                        InferenceServer._build_batched_kernel)
+    assert run() == cached
 
 
 def test_server_counters_without_retention():
