@@ -1,17 +1,15 @@
 """Fleet-to-cluster feedback: sensed rates drive cluster replanning.
 
-Closes the loop across all three tiers.  Devices report into
-:class:`~repro.telemetry.resilience.ResilienceStats` counters; the
-fleet publishes them through
-:meth:`~repro.workloads.fleet.AutoscaledServingFleet.sensor_snapshot`
-(the same guarded telemetry the :class:`~repro.workloads.autoscale.
-FleetAutoscaler` trusts for MPS resizes); this adapter turns those
-offered-count deltas into windowed arrival rates, smooths them, and —
-when the sensed rates drift past a threshold from the rates the current
-placement was sized for — re-runs the segment packer and reports the
-placement diff (GPUs freed/added, segments moved).  Replanning is
-deliberately *not* per-tick: cluster moves imply instance migrations,
-so the drift threshold plays the role cooldowns play one tier down.
+:meth:`ClusterFeedback.observe_counters` takes raw per-function
+``(offered count, as-of time)`` samples — the monotone offered counters
+of :class:`~repro.telemetry.resilience.ResilienceStats`, as a fleet's
+``sensor_snapshot`` publishes them — turns their deltas into windowed
+arrival rates, and smooths them.  When the sensed rates drift past a
+threshold from the rates the current placement was sized for, the
+adapter re-runs the segment packer and reports the placement diff (GPUs
+freed/added, segments moved).  Replanning is deliberately *not*
+per-tick: cluster moves imply instance migrations, so the drift
+threshold plays the role cooldowns play one tier down.
 """
 
 from __future__ import annotations
@@ -79,18 +77,6 @@ class ClusterFeedback:
         self.log: list[dict] = []
 
     # -- sensing --------------------------------------------------------------
-    def observe_fleet(self, fleet) -> dict[str, float]:
-        """Pull one windowed-rate sample per function from a fleet's
-        published sensors (functions the fleet does not serve keep
-        their forecast)."""
-        samples = {}
-        for name in self.demands:
-            if name not in fleet.groups:
-                continue
-            offered, as_of = fleet.sensor_snapshot(name)
-            samples[name] = (offered, as_of)
-        return self.observe_counters(samples)
-
     def observe_counters(
             self, samples: Mapping[str, tuple[float, float]]
     ) -> dict[str, float]:

@@ -19,6 +19,9 @@ directions:
   resource requirement").
 - :mod:`repro.partition.predictor` — approximate runtime from GPU
   resources via static kernel analysis or profile fitting (§7).
+- :mod:`repro.partition.autoscaler` — demand-to-SM sizing, MPS share
+  apportionment and cooldown gating for the demand-driven controller
+  (§7 "change GPU resources depending on demand").
 """
 
 from repro._lazy import attach
@@ -27,8 +30,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "policy": ["DemandBasedPolicy", "EqualSharePolicy", "StaticPolicy",
                "mig_profiles_for"],
     "manager": ["GpuPartitionManager"],
-    "autoscaler": ["ManagedFunction", "PartitionAutoscaler", "ScalingDecision",
-                   "SizingResult", "cooldown_elapsed", "required_sms_for",
+    "autoscaler": ["SizingResult", "cooldown_elapsed", "required_sms_for",
                    "scaled_percentages"],
     "reconfig": ["ReconfigCost", "ReconfigurationPlanner"],
     "weightcache": ["WeightCache"],

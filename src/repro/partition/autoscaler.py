@@ -1,43 +1,32 @@
-"""Demand-driven partition autoscaling (§7's end goal).
+"""Demand-to-partition sizing and reconfiguration gating (§7).
 
 The paper's future-work motivation: "This challenge becomes crucial as we
 multiplex the applications and aim to change GPU resources depending on
-demand."  This controller closes that loop on the simulator:
+demand."  These pure helpers hold the arithmetic of that loop, shared by
+the fleet controller
+(:class:`~repro.workloads.autoscale.FleetAutoscaler`) and the cluster
+tier (:mod:`repro.cluster.model`, :mod:`repro.cluster.oracle`):
 
-1. each managed function declares a latency SLO and a latency-vs-SMs
-   model (a profiled :class:`~repro.partition.predictor.RuntimePredictor`
-   or any callable);
-2. a periodic control loop converts each function's current request rate
-   into an SM requirement — enough SMs that the SLO holds *and* the
-   function is stable (utilisation below a safety ceiling);
-3. when requirements drift beyond a threshold and the cooldown has
-   passed, the loop repartitions via the
-   :class:`~repro.partition.reconfig.ReconfigurationPlanner`, paying the
-   real MPS restart cost (which the §7 weight cache shrinks).
+- :func:`required_sms_for` converts a function's request rate into the
+  smallest SM count that holds its latency SLO *and* keeps it stable
+  (utilisation below a safety ceiling), with an explicit
+  :class:`SizingResult` feasibility verdict;
+- :func:`scaled_percentages` apportions per-replica SM requirements onto
+  one GPU as integer MPS percentages whose replica-weighted sum never
+  exceeds 100;
+- :func:`cooldown_elapsed` gates a reconfiguration on a cooldown that a
+  hard SLO violation shrinks.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.faas.providers import ComputeNode
-from repro.gpu.device import GpuClient
 from repro.gpu.specs import GPUSpec
-from repro.partition.reconfig import ReconfigurationPlanner
 
-__all__ = ["ManagedFunction", "PartitionAutoscaler", "ScalingDecision",
-           "SizingResult", "cooldown_elapsed", "required_sms_for",
+__all__ = ["SizingResult", "cooldown_elapsed", "required_sms_for",
            "scaled_percentages"]
 
-
-# -- shared sizing and gating helpers ---------------------------------------
-#
-# Standalone so both controllers — :class:`PartitionAutoscaler` (node-level,
-# one client per function) and the fleet-level
-# :class:`~repro.workloads.autoscale.FleetAutoscaler` (replicated serving)
-# — size partitions and gate reconfigurations with identical arithmetic.
 
 class SizingResult(int):
     """An SM count that also carries an explicit feasibility verdict.
@@ -215,182 +204,3 @@ def cooldown_elapsed(now: float, last_applied: float, cooldown: float,
     """
     effective = cooldown * (slo_bypass_factor if slo_violated else 1.0)
     return now - last_applied >= effective
-
-
-@dataclass
-class ManagedFunction:
-    """One serving function under autoscaler control."""
-
-    name: str
-    client: GpuClient
-    #: Isolated latency (seconds) as a function of allocated SMs.
-    latency_fn: Callable[[int], float]
-    #: Latency SLO, seconds.
-    slo_seconds: float
-    #: Current offered load, requests per second (mutable).
-    demand_rps: float = 0.0
-    #: Weights metadata for the restart path.
-    model_key: Optional[str] = None
-    model_bytes: float = 0.0
-    model_load_seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.slo_seconds <= 0:
-            raise ValueError("slo_seconds must be positive")
-        if self.demand_rps < 0:
-            raise ValueError("demand_rps must be non-negative")
-
-
-@dataclass(frozen=True)
-class ScalingDecision:
-    """One control-loop outcome (kept for post-hoc analysis)."""
-
-    time: float
-    percentages: dict[str, int]
-    applied: bool
-    reason: str
-
-
-class PartitionAutoscaler:
-    """Periodic MPS-repartitioning controller for one GPU."""
-
-    def __init__(
-        self,
-        node: ComputeNode,
-        functions: list[ManagedFunction],
-        gpu_index: int = 0,
-        planner: Optional[ReconfigurationPlanner] = None,
-        interval_seconds: float = 30.0,
-        cooldown_seconds: float = 60.0,
-        change_threshold_pct: int = 5,
-        utilization_ceiling: float = 0.8,
-        min_percentage: int = 5,
-        slo_bypass_factor: float = 0.5,
-    ):
-        if not functions:
-            raise ValueError("need at least one managed function")
-        if interval_seconds <= 0 or cooldown_seconds < 0:
-            raise ValueError("invalid control intervals")
-        if not 0 < utilization_ceiling <= 1:
-            raise ValueError("utilization_ceiling must be in (0, 1]")
-        if not 0 <= slo_bypass_factor <= 1:
-            raise ValueError("slo_bypass_factor must be in [0, 1]")
-        self.node = node
-        self.gpu_index = gpu_index
-        self.functions = {f.name: f for f in functions}
-        if len(self.functions) != len(functions):
-            raise ValueError("function names must be unique")
-        spec = node.gpus[gpu_index].spec
-        self.spec = spec
-        self.planner = planner if planner is not None else \
-            ReconfigurationPlanner(spec)
-        self.interval = interval_seconds
-        self.cooldown = cooldown_seconds
-        self.change_threshold = change_threshold_pct
-        self.utilization_ceiling = utilization_ceiling
-        self.min_percentage = min_percentage
-        self.slo_bypass_factor = slo_bypass_factor
-        self.decisions: list[ScalingDecision] = []
-        self.reconfigurations = 0
-        self.reconfiguration_downtime = 0.0
-        # -inf, not 0: the first decision must be eligible immediately
-        # (see cooldown_elapsed) — a zero here would silently gate every
-        # reconfiguration in the first cooldown window.
-        self._last_applied = -math.inf
-        self._proc = None
-
-    # -- demand input ---------------------------------------------------------
-    def set_demand(self, name: str, requests_per_second: float) -> None:
-        if requests_per_second < 0:
-            raise ValueError("demand must be non-negative")
-        self.functions[name].demand_rps = requests_per_second
-
-    # -- sizing logic -----------------------------------------------------------
-    def required_sms(self, fn: ManagedFunction) -> int:
-        """Smallest SM count meeting the SLO and the stability ceiling."""
-        return required_sms_for(self.spec, fn.latency_fn, fn.slo_seconds,
-                                fn.demand_rps, self.utilization_ceiling)
-
-    def desired_percentages(self) -> dict[str, int]:
-        """Per-function MPS percentages for the current demand."""
-        needed = {name: self.required_sms(fn)
-                  for name, fn in self.functions.items()}
-        return scaled_percentages(self.spec, needed,
-                                  min_percentage=self.min_percentage)
-
-    def slo_violated(self) -> bool:
-        """True when some function's *current* share cannot hold its SLO.
-
-        Either the isolated latency at the allocated SMs already exceeds
-        the SLO, or the offered load saturates the share (utilisation at
-        or past 1: the queue grows without bound).
-        """
-        for fn in self.functions.values():
-            if fn.demand_rps == 0:
-                continue
-            latency = fn.latency_fn(max(1, round(fn.client.sm_cap)))
-            if latency > fn.slo_seconds or fn.demand_rps * latency >= 1.0:
-                return True
-        return False
-
-    def current_percentages(self) -> dict[str, int]:
-        return {
-            name: round(100 * fn.client.sm_cap / self.spec.sms)
-            for name, fn in self.functions.items()
-        }
-
-    # -- control loop ------------------------------------------------------------
-    def start(self):
-        """Launch the control loop; returns the process handle."""
-        if self._proc is not None:
-            raise RuntimeError("autoscaler already started")
-        self._proc = self.node.env.process(self._run())
-        return self._proc
-
-    def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("autoscaler stopped")
-            self._proc.defuse()
-
-    def _run(self):
-        env = self.node.env
-        while True:
-            yield env.timeout(self.interval)
-            yield from self._tick()
-
-    def _tick(self):
-        """One control decision (exposed for deterministic tests)."""
-        env = self.node.env
-        desired = self.desired_percentages()
-        current = self.current_percentages()
-        drift = {
-            name: abs(desired[name] - current[name])
-            for name in self.functions
-        }
-        if max(drift.values()) < self.change_threshold:
-            self.decisions.append(ScalingDecision(
-                env.now, desired, False, "within threshold"))
-            return
-        if not cooldown_elapsed(env.now, self._last_applied, self.cooldown,
-                                slo_violated=self.slo_violated(),
-                                slo_bypass_factor=self.slo_bypass_factor):
-            self.decisions.append(ScalingDecision(
-                env.now, desired, False, "cooldown"))
-            return
-        t0 = env.now
-        for name, fn in self.functions.items():
-            if drift[name] < self.change_threshold:
-                continue
-            new_client = yield from self.planner.execute_mps_repartition(
-                self.node, self.gpu_index, fn.client,
-                new_percentage=desired[name],
-                model_key=fn.model_key,
-                model_bytes=fn.model_bytes,
-                model_load_seconds=fn.model_load_seconds,
-            )
-            fn.client = new_client
-            self.reconfigurations += 1
-        self.reconfiguration_downtime += env.now - t0
-        self._last_applied = env.now
-        self.decisions.append(ScalingDecision(
-            env.now, desired, True, "repartitioned"))

@@ -27,7 +27,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
                    "ServedRequest", "SLOPolicy"],
     "fleet": ["AutoscaledServingFleet", "FLEET_MODES", "FleetFunction",
               "FunctionGroup", "ServingFleet"],
-    "autoscale": ["FleetAutoscaler"],
+    "autoscale": ["FleetAutoscaler", "ScalingDecision"],
     "traces": ["TraceStats", "bursty_trace", "diurnal_trace",
                "iter_bursty_trace", "iter_diurnal_trace", "iter_poisson_trace",
                "iter_poisson_trace_chunks", "poisson_trace",

@@ -54,13 +54,12 @@ Control-plane chaos hardened this loop in three places:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from functools import reduce
 from operator import add
 from typing import Optional
 
 from repro.partition.autoscaler import (
-    ScalingDecision,
     cooldown_elapsed,
     required_sms_for,
     scaled_percentages,
@@ -70,9 +69,19 @@ from repro.telemetry.streaming import P2Quantile
 from repro.workloads.fleet import AutoscaledServingFleet, FunctionGroup
 from repro.workloads.resilience import CircuitBreaker
 
-__all__ = ["FleetAutoscaler"]
+__all__ = ["FleetAutoscaler", "ScalingDecision"]
 
 TECHNIQUES = ("mps", "mig")
+
+
+@dataclass(frozen=True)
+class ScalingDecision:
+    """One control-loop outcome (kept for post-hoc analysis)."""
+
+    time: float
+    percentages: dict[str, int]
+    applied: bool
+    reason: str
 
 
 def _chain_taps(prior, tap):
@@ -181,6 +190,12 @@ class FleetAutoscaler:
             raise ValueError("utilization_ceiling must be in (0, 1]")
         if not 0 <= slo_bypass_factor <= 1:
             raise ValueError("slo_bypass_factor must be in [0, 1]")
+        if change_threshold_pct < 1:
+            # A zero threshold treats "no drift" as drift: every tick
+            # would restart every replica at its unchanged share.
+            raise ValueError("change_threshold_pct must be at least 1")
+        if not 1 <= min_percentage <= 100:
+            raise ValueError("min_percentage must be in [1, 100]")
         if waves < 1:
             raise ValueError("waves must be positive")
         if technique not in TECHNIQUES:

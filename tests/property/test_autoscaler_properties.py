@@ -1,13 +1,12 @@
 """Property-based tests for the autoscaler's sizing arithmetic."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faas import ComputeNode
 from repro.gpu import A100_40GB
-from repro.partition import ManagedFunction, PartitionAutoscaler
-from repro.sim import Environment
+from repro.partition import required_sms_for, scaled_percentages
+
+MIN_PERCENTAGE = 5
 
 
 @st.composite
@@ -27,48 +26,34 @@ def scaler_cases(draw):
 @given(scaler_cases())
 @settings(max_examples=60, deadline=None)
 def test_desired_percentages_always_valid(case):
-    env = Environment()
-    node = ComputeNode(env, cores=4, gpu_specs=[A100_40GB])
-    node.start_mps()
-    functions = []
+    raw = {}
     for i, (serial, work, saturation, slo, demand) in enumerate(case):
-        client = node.mps_daemons[0].client(f"fn{i}",
-                                            active_thread_percentage=25)
-        fn = ManagedFunction(
-            name=f"fn{i}", client=client,
-            latency_fn=lambda s, w=work, c=saturation, b=serial:
-                w / min(s, c) + b,
-            slo_seconds=slo, demand_rps=demand)
-        functions.append(fn)
-    scaler = PartitionAutoscaler(node, functions)
-    desired = scaler.desired_percentages()
-    assert set(desired) == {f.name for f in functions}
+        raw[f"fn{i}"] = required_sms_for(
+            A100_40GB,
+            lambda s, w=work, c=saturation, b=serial: w / min(s, c) + b,
+            slo, demand)
+    desired = scaled_percentages(A100_40GB, raw,
+                                 min_percentage=MIN_PERCENTAGE)
+    assert set(desired) == set(raw)
     for pct in desired.values():
-        assert scaler.min_percentage <= pct <= 100
+        assert MIN_PERCENTAGE <= pct <= 100
     # Requirements honoured: the raw SM needs never exceed the device
-    # before normalisation, and normalisation never inflates shares.
-    raw = {f.name: scaler.required_sms(f) for f in functions}
-    for fn in functions:
-        assert 1 <= raw[fn.name] <= A100_40GB.sms
+    # before normalisation.
+    for needed in raw.values():
+        assert 1 <= needed <= A100_40GB.sms
 
 
 @given(scaler_cases())
 @settings(max_examples=40, deadline=None)
 def test_required_sms_monotone_in_demand(case):
-    env = Environment()
-    node = ComputeNode(env, cores=4, gpu_specs=[A100_40GB])
-    node.start_mps()
     serial, work, saturation, slo, _ = case[0]
-    client = node.mps_daemons[0].client("fn", active_thread_percentage=50)
-    fn = ManagedFunction(
-        name="fn", client=client,
-        latency_fn=lambda s: work / min(s, saturation) + serial,
-        slo_seconds=slo)
-    scaler = PartitionAutoscaler(node, [fn])
+
+    def law(s):
+        return work / min(s, saturation) + serial
+
     previous = 0
     for demand in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
-        fn.demand_rps = demand
-        needed = scaler.required_sms(fn)
+        needed = required_sms_for(A100_40GB, law, slo, demand)
         assert needed >= previous or needed == A100_40GB.sms
         previous = min(needed, previous) if needed == A100_40GB.sms \
             else needed

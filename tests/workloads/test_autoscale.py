@@ -33,12 +33,13 @@ def make_fleet(weight_cache=True, n_replicas=2, pct=20, seed=0):
     return env, fleet
 
 
-def drive(env, fleet, name, rate, horizon, seed=1):
+def drive(env, fleet, name, rate, horizon, seed=1, start=0.0):
+    """Poisson arrivals at ``rate`` over ``[start, start + horizon)``."""
     group = fleet.groups[name]
     return OpenLoopClient(env, group.router, n_tokens=group.n_tokens,
                           streaming=True,
-                          arrivals=iter_poisson_trace(rate, horizon,
-                                                      seed=seed))
+                          arrivals=(start + t for t in iter_poisson_trace(
+                              rate, horizon, seed=seed)))
 
 
 # ------------------------------------------------------- fleet construction
@@ -175,11 +176,25 @@ def test_autoscaler_validation():
         FleetAutoscaler(fleet, slo_bypass_factor=2.0)
     with pytest.raises(ValueError, match="intervals"):
         FleetAutoscaler(fleet, interval_seconds=0.0)
-    scaler = FleetAutoscaler(fleet)
+    # A drift threshold below one point resizes without drift: every
+    # tick would restart every replica at its unchanged share.
+    for threshold in (0, -1):
+        with pytest.raises(ValueError, match="change_threshold_pct"):
+            FleetAutoscaler(fleet, change_threshold_pct=threshold)
+    # An out-of-range keep-warm floor is an error, not a silent clamp.
+    for floor in (0, 101):
+        with pytest.raises(ValueError, match="min_percentage"):
+            FleetAutoscaler(fleet, min_percentage=floor)
+    scaler = FleetAutoscaler(fleet, interval_seconds=10.0)
     scaler.start()
     with pytest.raises(RuntimeError, match="already started"):
         scaler.start()
+    env.run(until=25.0)
     scaler.stop()
+    decided = len(scaler.decisions)
+    assert decided >= 1
+    env.run(until=100.0)
+    assert len(scaler.decisions) == decided  # stop() halts the loop
     scaler.stop()  # idempotent
 
 
@@ -198,6 +213,93 @@ def test_autoscaler_shifts_shares_toward_the_loaded_function():
     assert sum(r["lost"] for r in reports.values()) == 0
     # Every restart hit the standing weight cache.
     assert scaler.weight_cache_hits == scaler.replica_restarts > 0
+
+
+def test_first_decision_is_not_cooldown_gated():
+    """A huge cooldown must not suppress the initial fit."""
+    env, fleet = make_fleet(pct=20)
+    scaler = FleetAutoscaler(fleet, interval_seconds=20.0,
+                             cooldown_seconds=10_000.0)
+    scaler.start()
+    drive(env, fleet, "hot", rate=1.2, horizon=60.0, seed=1)
+    drive(env, fleet, "cold", rate=0.05, horizon=60.0, seed=2)
+    env.run(until=60.0)
+    scaler.stop()
+    assert scaler.reconfigurations >= 1
+    assert scaler.decisions[0].applied
+    assert scaler.decisions[0].reason == "repartitioned"
+
+
+def test_cooldown_blocks_rapid_changes():
+    env, fleet = make_fleet(pct=20)
+    scaler = FleetAutoscaler(fleet, interval_seconds=20.0,
+                             cooldown_seconds=1000.0)
+    scaler.start()
+    drive(env, fleet, "hot", rate=1.2, horizon=100.0, seed=1)
+    drive(env, fleet, "cold", rate=0.05, horizon=100.0, seed=2)
+    env.run(until=100.0)
+    assert sum(d.applied for d in scaler.decisions) == 1
+    # Flip the demand: the change is deferred by the cooldown.
+    drive(env, fleet, "hot", rate=0.05, horizon=100.0, seed=3, start=100.0)
+    drive(env, fleet, "cold", rate=1.2, horizon=100.0, seed=4, start=100.0)
+    env.run(until=200.0)
+    scaler.stop()
+    after_flip = [d for d in scaler.decisions if d.time > 100.0]
+    assert after_flip
+    assert all(d.reason == "cooldown" for d in after_flip)
+    assert sum(d.applied for d in scaler.decisions) == 1
+
+
+def test_slo_violation_halves_the_cooldown():
+    """A/B: the bypass factor lets a burning SLO repartition sooner."""
+
+    def run(bypass_factor):
+        env, fleet = make_fleet(pct=20)
+        scaler = FleetAutoscaler(fleet, interval_seconds=20.0,
+                                 cooldown_seconds=200.0,
+                                 slo_bypass_factor=bypass_factor)
+        scaler.start()
+        drive(env, fleet, "hot", rate=1.2, horizon=200.0, seed=1)
+        # "cold" is silent until the first decision has shrunk it to
+        # its sliver, then floods it: its window P95 breaks the SLO.
+        drive(env, fleet, "cold", rate=3.0, horizon=140.0, seed=4,
+              start=60.0)
+        env.run(until=200.0)
+        scaler.stop()
+        return scaler
+
+    bypassing = run(0.5)
+    strict = run(1.0)
+    # With the bypass the second resize fires after half the cooldown
+    # (~100 s); without it the full 200 s still gates at t=200.
+    assert sum(d.applied for d in strict.decisions) == 1
+    assert sum(d.applied for d in bypassing.decisions) == 2
+    assert any(d.reason == "slo-bypass repartition"
+               for d in bypassing.decisions)
+    # Early ticks inside the shrunk window were still cooldown-gated.
+    assert any(d.reason == "cooldown" for d in bypassing.decisions)
+
+
+def test_autoscaler_stable_demand_no_thrashing():
+    env, fleet = make_fleet(pct=20)
+    # The threshold sits above the Poisson noise of one 60 s window's
+    # rate estimate, so equal demand reads as equal demand.
+    scaler = FleetAutoscaler(fleet, interval_seconds=60.0,
+                             cooldown_seconds=0.0, change_threshold_pct=10)
+    scaler.start()
+    drive(env, fleet, "hot", rate=0.6, horizon=600.0, seed=1)
+    drive(env, fleet, "cold", rate=0.6, horizon=600.0, seed=2)
+    env.run(until=130.0)
+    first = scaler.reconfigurations
+    assert first >= 1
+    held = len(scaler.decisions)
+    env.run(until=600.0)
+    scaler.stop()
+    # After converging, no further repartitions occur.
+    assert scaler.reconfigurations == first
+    assert len(scaler.decisions) > held
+    assert all(not d.applied and d.reason == "within threshold"
+               for d in scaler.decisions[held:])
 
 
 def test_autoscaler_is_deterministic_across_twin_runs():
