@@ -1,4 +1,9 @@
-"""Tests for the demand-to-partition sizing and gating helpers (§7)."""
+"""Tests for the demand-to-partition sizing and gating helpers (§7).
+
+The helpers are exercised directly, and through the fleet controller
+(:class:`FleetAutoscaler`) that turns their output into live MPS
+repartitions.
+"""
 
 import math
 
@@ -11,6 +16,14 @@ from repro.partition import (
     required_sms_for,
     scaled_percentages,
 )
+from repro.sim import Environment
+from repro.workloads import (
+    AutoscaledServingFleet,
+    FleetAutoscaler,
+    FleetFunction,
+    OpenLoopClient,
+    iter_poisson_trace,
+)
 
 
 def weighted_sum(pcts, counts=None):
@@ -21,6 +34,22 @@ def weighted_sum(pcts, counts=None):
 def latency_law(serial=0.05, work=2.0, saturation=40):
     """A latency(sms) law shaped like the Fig. 2 curve."""
     return lambda sms: work / min(sms, saturation) + serial
+
+
+def make_stack(rates, horizon=200.0, pct=20, **scaler_kwargs):
+    """Two functions x 2 replicas with Poisson demand at ``rates``."""
+    env = Environment()
+    fleet = AutoscaledServingFleet(env, [
+        FleetFunction(name, 2, slo_seconds=6.0, initial_pct=pct, n_tokens=8)
+        for name in ("fn0", "fn1")])
+    scaler = FleetAutoscaler(fleet, **scaler_kwargs)
+    clients = []
+    for seed, (name, rate) in enumerate(sorted(rates.items()), start=1):
+        group = fleet.groups[name]
+        clients.append(OpenLoopClient(
+            env, group.router, n_tokens=group.n_tokens, streaming=True,
+            arrivals=iter_poisson_trace(rate, horizon, seed=seed)))
+    return env, fleet, scaler, clients
 
 
 def test_required_sms_scales_with_demand():
@@ -73,6 +102,83 @@ def test_cooldown_elapsed_slo_violation_shrinks_the_wait():
                             slo_bypass_factor=0.0)
     assert not cooldown_elapsed(150.0, 100.0, 100.0, slo_violated=True,
                                 slo_bypass_factor=1.0)
+
+
+# ------------------------------------------- the controller on the helpers
+
+def test_autoscaler_repartitions_on_demand_shift():
+    env, fleet, scaler, clients = make_stack(
+        {"fn0": 1.2, "fn1": 0.05}, interval_seconds=20.0,
+        cooldown_seconds=0.0)
+    old_client = fleet.groups["fn0"].replicas[0].server.client
+    scaler.start()
+    env.run(until=env.all_of([c.done for c in clients]))
+    scaler.stop()
+    assert scaler.reconfigurations >= 1
+    hot, cold = fleet.groups["fn0"], fleet.groups["fn1"]
+    assert hot.current_pct > cold.current_pct
+    # The repartition replaced the MPS clients with wider SM caps.
+    hot_client = hot.replicas[0].server.client
+    assert hot_client is not old_client
+    assert hot_client.sm_cap > cold.replicas[0].server.client.sm_cap
+
+
+def test_autoscaler_downtime_accounted():
+    env, fleet, scaler, clients = make_stack(
+        {"fn0": 1.2, "fn1": 0.05}, interval_seconds=20.0,
+        cooldown_seconds=0.0)
+    scaler.start()
+    env.run(until=env.all_of([c.done for c in clients]))
+    scaler.stop()
+    assert scaler.reconfigurations >= 1
+    assert scaler.reconfiguration_downtime > 0
+    # Every restart pays at least the planner's teardown + worker start.
+    restart = scaler.planner.TEARDOWN_SECONDS + \
+        scaler.planner.cold_start.worker_start_seconds(True)
+    assert scaler.reconfiguration_downtime >= \
+        scaler.replica_restarts * restart - 1e-9
+    assert scaler.reconfiguration_downtime == pytest.approx(sum(
+        entry["downtime_seconds"] for entry in scaler.reconfig_log))
+
+
+def test_autoscaler_stop():
+    env, fleet, scaler, _ = make_stack(
+        {"fn0": 0.5, "fn1": 0.5}, horizon=100.0, interval_seconds=10.0)
+    scaler.start()
+    env.run(until=25.0)
+    scaler.stop()
+    decisions = len(scaler.decisions)
+    reconfigurations = scaler.reconfigurations
+    assert decisions >= 1
+    env.run(until=100.0)
+    assert len(scaler.decisions) == decisions
+    assert scaler.reconfigurations == reconfigurations
+    scaler.stop()  # idempotent
+
+
+def test_slo_bypass_factor_validated():
+    for factor in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="slo_bypass_factor"):
+            make_stack({}, slo_bypass_factor=factor)
+    # The closed interval's ends are both legal.
+    for factor in (0.0, 1.0):
+        _, _, scaler, _ = make_stack({}, slo_bypass_factor=factor)
+        assert scaler.slo_bypass_factor == factor
+
+
+def test_validation():
+    env = Environment()
+    fn = FleetFunction("f", 1, slo_seconds=1.0, initial_pct=50)
+    with pytest.raises(ValueError, match="at least one"):
+        AutoscaledServingFleet(env, [])
+    with pytest.raises(ValueError, match="unique"):
+        AutoscaledServingFleet(env, [fn, fn])
+    with pytest.raises(ValueError):
+        FleetFunction("g", 1, slo_seconds=0.0, initial_pct=50)
+    scaler = FleetAutoscaler(AutoscaledServingFleet(env, [fn]))
+    with pytest.raises(RuntimeError, match="already started"):
+        scaler.start()
+        scaler.start()
 
 
 # -------------------------------------- sizing arithmetic (bugfix sweep)
