@@ -16,7 +16,7 @@ configuration, so GPU-seconds are equal by construction):
 
 The score is the in-SLO fraction of *offered* load (``slo_ok /
 offered``): shed requests count against a layout, so admission control
-cannot shed its way to a win.  The CI gate requires the closed loop to
+cannot shed its way to a win.  The checks require the closed loop to
 beat both statics, its GPU-seconds to stay within tolerance of theirs,
 the weight cache to strictly shrink mean restart downtime versus a
 cache-off twin, zero lost requests everywhere, and twin closed-loop
@@ -25,7 +25,7 @@ runs to be bit-identical (determinism survives resize events).
 The ``chaos`` subsection replays the closed loop under the *canonical
 control-plane fault plan* (:func:`canonical_control_plane_plan`): stuck
 resize drains, corrupt weight-cache entries, telemetry dropouts, and
-inflated offered counters, all seeded and replayable.  Its gate demands
+inflated offered counters, all seeded and replayable.  Its checks demand
 the serving plane conserve every request (zero lost), every aborted
 resize prove its rollback, the controller actually detect the bad
 sensors (>= 1 degraded tick), the in-SLO fraction stay at or above
@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import json
 import math
+
+from repro.bench.harness import check
 
 __all__ = ["autoscale_chaos_report", "autoscale_fleet_report",
            "autoscale_report", "build_autoscale_fleet",
@@ -214,7 +216,8 @@ def run_autoscale_fleet(horizon: float, autoscale: bool,
     ``pcts`` sets the initial per-replica MPS percentages; with
     ``autoscale=False`` they are also final (a static layout).  ``plan``
     replays a fault plan against the fleet.  The returned dict is the
-    payload the determinism gate compares verbatim across twin runs.
+    payload the ``twin_identical`` checks compare verbatim across twin
+    runs.
     """
     from repro.sim.core import Environment
 
@@ -242,23 +245,6 @@ def autoscale_chaos_report(horizon: float, fault_free: dict,
                       == json.dumps(twin, sort_keys=True))
     ctrl = chaos["autoscaler"]
     base = fault_free["slo_good_fraction"]
-    slo_ratio = chaos["slo_good_fraction"] / base if base else 0.0
-    gate = {
-        "lost": chaos["lost"],
-        "resize_aborted": ctrl["resize_aborts"] >= 1,
-        "rollbacks_verified": (ctrl["resize_rollbacks"]
-                               == ctrl["resize_aborts"]),
-        "degraded_detected": ctrl["degraded_ticks"] >= 1,
-        "slo_ratio_vs_fault_free": slo_ratio,
-        "slo_floor": SLO_CHAOS_FLOOR,
-        "twin_identical": twin_identical,
-    }
-    gate["pass"] = (gate["lost"] == 0
-                    and gate["resize_aborted"]
-                    and gate["rollbacks_verified"]
-                    and gate["degraded_detected"]
-                    and slo_ratio >= SLO_CHAOS_FLOOR
-                    and twin_identical)
     kinds: dict[str, int] = {}
     for event in plan:
         kinds[event.kind] = kinds.get(event.kind, 0) + 1
@@ -266,7 +252,17 @@ def autoscale_chaos_report(horizon: float, fault_free: dict,
         "plan_events": len(plan),
         "plan_kinds": dict(sorted(kinds.items())),
         "run": chaos,
-        "gate": gate,
+        "checks": [
+            check("lost", chaos["lost"], "==", 0),
+            check("resize_aborts", ctrl["resize_aborts"], ">=", 1),
+            check("resize_rollbacks", ctrl["resize_rollbacks"], "==",
+                  ctrl["resize_aborts"]),
+            check("degraded_ticks", ctrl["degraded_ticks"], ">=", 1),
+            check("slo_ratio_vs_fault_free",
+                  chaos["slo_good_fraction"] / base if base else 0.0,
+                  ">=", SLO_CHAOS_FLOOR),
+            check("twin_identical", twin_identical, "==", True),
+        ],
     }
 
 
@@ -293,29 +289,7 @@ def autoscale_report(quick: bool = False, seed: int = 0) -> dict:
         "vs_small": ratio(closed["gpu_seconds"], small["gpu_seconds"]),
         "vs_large": ratio(closed["gpu_seconds"], large["gpu_seconds"]),
     }
-    gate = {
-        "beats_static_small": (closed["slo_good_fraction"]
-                               >= small["slo_good_fraction"]),
-        "beats_static_large": (closed["slo_good_fraction"]
-                               >= large["slo_good_fraction"]),
-        "gpu_seconds_matched": all(
-            abs(r - 1.0) <= GPU_SECONDS_TOLERANCE
-            for r in gpu_ratios.values()),
-        "cache_shrinks_downtime": (
-            closed["autoscaler"]["mean_restart_downtime"]
-            < cache_off["autoscaler"]["mean_restart_downtime"]),
-        "reconfigured": closed["autoscaler"]["reconfigurations"] >= 1,
-        "twin_identical": twin_identical,
-        "lost": (closed["lost"] + cache_off["lost"]
-                 + small["lost"] + large["lost"]),
-    }
-    gate["pass"] = (gate["beats_static_small"]
-                    and gate["beats_static_large"]
-                    and gate["gpu_seconds_matched"]
-                    and gate["cache_shrinks_downtime"]
-                    and gate["reconfigured"]
-                    and gate["twin_identical"]
-                    and gate["lost"] == 0)
+    slo = closed["slo_good_fraction"]
     return {
         "scenario": {
             "gpu": "A100_80GB",
@@ -340,5 +314,21 @@ def autoscale_report(quick: bool = False, seed: int = 0) -> dict:
         "static_large": large,
         "gpu_seconds_ratio": gpu_ratios,
         "chaos": autoscale_chaos_report(horizon, closed, seed=seed),
-        "gate": gate,
+        "checks": [
+            check("beats_static_small", slo, ">=",
+                  small["slo_good_fraction"]),
+            check("beats_static_large", slo, ">=",
+                  large["slo_good_fraction"]),
+            check("gpu_seconds_matched",
+                  max(abs(r - 1.0) for r in gpu_ratios.values()), "<=",
+                  GPU_SECONDS_TOLERANCE),
+            check("cache_shrinks_downtime",
+                  closed["autoscaler"]["mean_restart_downtime"], "<",
+                  cache_off["autoscaler"]["mean_restart_downtime"]),
+            check("reconfigurations",
+                  closed["autoscaler"]["reconfigurations"], ">=", 1),
+            check("twin_identical", twin_identical, "==", True),
+            check("lost", closed["lost"] + cache_off["lost"]
+                  + small["lost"] + large["lost"], "==", 0),
+        ],
     }

@@ -4,8 +4,8 @@ bench``).
 ROADMAP item 1's contest, scored: 50 functions with seeded-random SLOs,
 latency curves, weight footprints, and rate forecasts must be packed
 onto a 500-GPU heterogeneous fleet (A100-80GB / A100-40GB / H100 /
-V100) by both packers from :mod:`repro.cluster.packing`.  The gate
-demands:
+V100) by both packers from :mod:`repro.cluster.packing`.  The checks
+demand:
 
 - the segment-repacking optimiser uses *strictly fewer* GPUs than the
   greedy first-fit-decreasing baseline;
@@ -27,7 +27,8 @@ demands:
 A ``feedback`` subsection drives :class:`~repro.cluster.feedback.
 ClusterFeedback` with synthetic offered-counter telemetry (a demand
 shift on two functions) and checks the drift trigger replans
-deterministically.
+deterministically: the doubled rates must trigger a replan, and the
+replanned-for rates must not trigger another.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import time
 
 import numpy as np
 
+from repro.bench.harness import check
 from repro.gpu.specs import A100_40GB, A100_80GB, GB, H100_80GB, V100_32GB
 from repro.cluster.feedback import ClusterFeedback
 from repro.cluster.model import FunctionDemand, LatencyCurve
@@ -178,7 +180,7 @@ def _feedback_report(seed: int = 0) -> dict:
                  t_obs)
         for d in demands})
     drift_before = loop.drift()
-    diff = loop.replan(now=t_obs)  # the doubled rates must trip the gate
+    diff = loop.replan(now=t_obs)  # the doubled rates must trip a replan
     loop.placement.validate()
     settled = loop.replan(now=t_obs + 60.0)  # planned-for rates: no-op
     return {
@@ -203,26 +205,24 @@ def cluster_report(quick: bool = False, seed: int = 0) -> dict:
         and contest["optimized"]["digest"] == twin["optimized"]["digest"])
 
     greedy, optimized = contest["greedy"], contest["optimized"]
-    in_slo_delta = abs(greedy["in_slo_fraction"]
-                       - optimized["in_slo_fraction"])
-    gate = {
-        "greedy_gpus": greedy["gpus_used"],
-        "optimized_gpus": optimized["gpus_used"],
-        "fewer_gpus": optimized["gpus_used"] < greedy["gpus_used"],
-        "in_slo_delta": in_slo_delta,
-        "in_slo_within_tolerance": in_slo_delta <= IN_SLO_TOLERANCE,
-        "rejections_match": greedy["rejected"] == optimized["rejected"],
-        "max_weighted_cap_sum": contest["max_weighted_cap_sum"],
-        "caps_bounded": contest["max_weighted_cap_sum"] <= 100,
-        "twin_identical": twin_identical,
-    }
-    gate["pass"] = (gate["fewer_gpus"]
-                    and gate["in_slo_within_tolerance"]
-                    and gate["rejections_match"]
-                    and gate["caps_bounded"]
-                    and gate["twin_identical"])
+    feedback = _feedback_report(seed)
     return {
         "contest": contest,
-        "feedback": _feedback_report(seed),
-        "gate": gate,
+        "feedback": feedback,
+        "checks": [
+            check("fewer_gpus", optimized["gpus_used"], "<",
+                  greedy["gpus_used"]),
+            check("in_slo_delta", abs(greedy["in_slo_fraction"]
+                                      - optimized["in_slo_fraction"]),
+                  "<=", IN_SLO_TOLERANCE),
+            check("rejections_match", optimized["rejected"], "==",
+                  greedy["rejected"]),
+            check("max_weighted_cap_sum", contest["max_weighted_cap_sum"],
+                  "<=", 100),
+            check("twin_identical", twin_identical, "==", True),
+            check("drift_triggered", feedback["drift_triggered"], "==",
+                  True),
+            check("settled_after_replan", feedback["settled_after_replan"],
+                  "==", True),
+        ],
     }

@@ -2,41 +2,53 @@
 autoscale and cluster sections.
 
 ``repro bench`` times the real paper sweeps serial vs parallel vs
-warm-cache and runs every bench scenario with its gate, then writes
+warm-cache and runs every bench scenario, then writes
 ``BENCH_<date>.json``.  Speed comparisons between commits are made
 same-machine by ``perf/`` (``perf/compare.py``), not against these
 files: timings recorded on one machine say little about another.
 
-Schema (``repro-bench/9``)::
+Each section carries its own ``checks``: a list of
+:func:`~repro.bench.harness.check` entries, each
+``{"name": str, "value": ..., "threshold": str, "verdict": str}`` with
+``verdict`` one of ``pass``, ``fail`` or ``unmeasured`` (the machine
+could not measure it; not a pass).  A check's dotted name is its
+section's path plus its name (``autoscale.chaos.lost``); the top-level
+``failed`` and ``unmeasured`` lists name every check with that verdict,
+and ``repro bench`` exits 1 when ``failed`` is non-empty.
+
+Schema (``repro-bench/10``)::
 
     {
-      "schema": "repro-bench/9",
+      "schema": "repro-bench/10",
       "date": "YYYY-MM-DD",
       "git_sha": str | null,          # HEAD at collection time
       "quick": bool,                  # reduced sizes (CI smoke)
       "jobs": int,                    # worker processes for parallel runs
       "platform": {...},              # python / cpu_count
+      "failed": [str, ...],           # dotted names of failed checks
+      "unmeasured": [str, ...],       # dotted names of unmeasured checks
       "sweeps": {name: {"configs": int,
                         "serial_seconds": float,
                         "parallel_seconds": float,
                         "warm_seconds": float,
                         "parallel_speedup": float,
                         "warm_speedup": float,
-                        "cache_hit_rate": float}},
+                        "cache_hit_rate": float,
+                        "checks": [...]}},   # configs, cache_hit_rate,
+                                             # warm_seconds
       "scale": {                      # trace-serving scale scenario
         "scenario": {...},            # fixed fleet topology + load
         "compare_n_requests": int,
-        "streaming": {..., "events_per_sec": float, "rss_growth_kb": int},
+        "streaming": {..., "events_per_sec": float, "rss_growth_kb": int,
+                      "checks": [...]},       # events_per_sec
         "sharded": {                  # sharded vs single-process engine
-          "n_cells": int, "cores": int,
+          "n_cells": int, "cores": int, "min_cores": int,
           "events_digest": str,       # canonical merged-stream digest
           "single": {..., "events_per_sec": float},
           "sharded": {..., "worker_rss_growth_kb": [int, ...]},
           "speedup": float,           # sharded / single events/sec
-          "speedup_measured": bool,   # False below gate.min_cores
-          "gate": {"identical": bool, "speedup_floor": float,
-                   "min_cores": int, "speedup_enforced": bool,
-                   "pass": bool},
+          "checks": [...],            # identical, speedup (unmeasured
+                                      # below min_cores), worker_respawns
           "pair": {...}               # full runs only: the same shape,
                                       # 2 full-size cells on 2 shards,
                                       # floor 1.4x from 2 cores
@@ -47,10 +59,10 @@ Schema (``repro-bench/9``)::
         "scenario": {...},            # fleet topology, rate, deadline
         "plan_events": int,           # canonical fault schedule size
         "fleet": {...},               # ResilienceStats.report payload
-        "gate": {"goodput_floor_rps": float, "goodput_rps": float,
-                 "lost": int, "pass": bool},
         "blast_radius": {"mig": {...}, "mps": {...},
-                         "isolation_ratio": float}
+                         "isolation_ratio": float},
+        "checks": [...]               # lost, goodput_rps,
+                                      # mig_kill_fraction
       },
       "autoscale": {                  # online repartitioning closed loop
         "scenario": {...},            # diurnal two-function contest
@@ -59,18 +71,19 @@ Schema (``repro-bench/9``)::
         "static_small": {...},        # equal split, mean-sized
         "static_large": {...},        # hot-peak-sized
         "gpu_seconds_ratio": {"vs_small": float, "vs_large": float},
-        "gate": {"beats_static_small": bool, "beats_static_large": bool,
-                 "gpu_seconds_matched": bool,
-                 "cache_shrinks_downtime": bool, "reconfigured": bool,
-                 "twin_identical": bool, "lost": int, "pass": bool},
-        "chaos": {                    # control-plane chaos gate
+        "checks": [...],              # beats_static_small/_large,
+                                      # gpu_seconds_matched,
+                                      # cache_shrinks_downtime,
+                                      # reconfigurations, twin_identical,
+                                      # lost
+        "chaos": {                    # control-plane chaos run
           "plan_events": int,         # canonical fault plan size
           "plan_kinds": {...},        # events per fault kind
           "run": {...},               # closed loop under the plan
-          "gate": {"lost": int, "resize_aborted": bool,
-                   "rollbacks_verified": bool, "degraded_detected": bool,
-                   "slo_ratio_vs_fault_free": float, "slo_floor": float,
-                   "twin_identical": bool, "pass": bool}
+          "checks": [...]             # lost, resize_aborts,
+                                      # resize_rollbacks, degraded_ticks,
+                                      # slo_ratio_vs_fault_free,
+                                      # twin_identical
         }
       },
       "cluster": {                    # cluster-scale placement contest
@@ -83,9 +96,11 @@ Schema (``repro-bench/9``)::
           "max_weighted_cap_sum": int
         },
         "feedback": {...},            # fleet->cluster drift replanning
-        "gate": {"fewer_gpus": bool, "in_slo_within_tolerance": bool,
-                 "rejections_match": bool, "caps_bounded": bool,
-                 "twin_identical": bool, "pass": bool}
+        "checks": [...]               # fewer_gpus, in_slo_delta,
+                                      # rejections_match,
+                                      # max_weighted_cap_sum,
+                                      # twin_identical, drift_triggered,
+                                      # settled_after_replan
       }
     }
 
@@ -93,11 +108,16 @@ Schema (``repro-bench/9``)::
 ``resilience`` section, ``/3`` reports the ``autoscale`` section, ``/4``
 reports the ``scale.sharded`` subsection, ``/5`` reports
 ``git_sha``/``profile``, ``/7`` reports the ``autoscale.chaos``
-subsection, ``/8`` reports the ``cluster`` section, and ``/9`` drops the
+subsection, ``/8`` reports the ``cluster`` section, ``/9`` drops the
 host ``micro`` suite, the ``profile`` section and the raced
 ``scale.legacy``/``scale.speedup`` engine and adds
-``scale.sharded.gate.min_cores`` and ``scale.sharded.pair``; everything
-else is unchanged (readers must tolerate missing keys).
+``scale.sharded.gate.min_cores`` and ``scale.sharded.pair``, and
+``/10`` replaces every section's ``gate`` dict (and its ``pass``
+verdict) with a ``checks`` list, drops ``scale.sharded.speedup_measured``
+for the ``unmeasured`` verdict, moves ``min_cores`` up to
+``scale.sharded`` and adds the top-level ``failed``/``unmeasured``
+lists; everything else is unchanged (readers must tolerate missing
+keys).
 """
 
 from __future__ import annotations
@@ -109,6 +129,7 @@ import platform
 import time
 from typing import Optional
 
+from repro.bench.harness import check, check_verdicts
 from repro.runner import ResultCache, SweepRunner, default_cache_dir
 
 __all__ = ["collect_bench", "write_bench_json", "default_bench_path"]
@@ -165,6 +186,11 @@ def _time_sweep(fn, jobs: int) -> dict:
         "parallel_speedup": serial / parallel if parallel > 0 else 0.0,
         "warm_speedup": serial / warm if warm > 0 else 0.0,
         "cache_hit_rate": warm_cache.hit_rate,
+        "checks": [
+            check("configs", n_configs, ">", 0),
+            check("cache_hit_rate", warm_cache.hit_rate, "==", 1.0),
+            check("warm_seconds", warm, "<", serial),
+        ],
     }
 
 
@@ -202,8 +228,8 @@ def collect_bench(quick: bool = False, jobs: Optional[int] = None) -> dict:
     resilience = resilience_report(quick=quick)
     autoscale = autoscale_report(quick=quick)
     cluster = cluster_report(quick=quick)
-    return {
-        "schema": "repro-bench/9",
+    report = {
+        "schema": "repro-bench/10",
         "date": datetime.date.today().isoformat(),
         "git_sha": _git_sha(),
         "quick": quick,
@@ -218,6 +244,8 @@ def collect_bench(quick: bool = False, jobs: Optional[int] = None) -> dict:
         "autoscale": autoscale,
         "cluster": cluster,
     }
+    report.update(check_verdicts(report))
+    return report
 
 
 def default_bench_path(date: Optional[str] = None) -> str:

@@ -6,15 +6,17 @@ benchmark (7 partitions x 16 serving functions on an A100-80GB):
 - **goodput under chaos** — the full fault-tolerant serving plane
   (retries, hedging, breakers, failover, admission control) serves an
   open-loop Poisson load while a :class:`~repro.faas.chaos.FaultPlan`
-  mixing every fault class plays out.  The gate: *zero lost requests*
-  (every offered request terminates exactly once) and goodput — in-SLO
-  completions per second — above a floor relative to the offered rate.
+  mixing every fault class plays out.  The checks: *zero lost
+  requests* (every offered request terminates exactly once) and
+  goodput — in-SLO completions per second — above a floor relative to
+  the offered rate.
 - **blast radius** — the MIG-backed fleet and a flat-MPS fleet with
   identical per-replica SM shares replay the *identical* ECC-only
   plan.  On MIG an uncorrectable error is confined to one ``1g.10gb``
   instance (~1/7 of resident kernels); under MPS every resident client
   shares the dying context.  The measured mean kill fraction per fault
-  quantifies the isolation the paper's hardware partitioning buys.
+  quantifies the isolation the paper's hardware partitioning buys; it
+  must stay below the flat-MPS one.
 
 Everything is seeded end to end, so a regression in any number here is
 a real behaviour change, not noise.
@@ -23,6 +25,8 @@ a real behaviour change, not noise.
 from __future__ import annotations
 
 from typing import Optional
+
+from repro.bench.harness import check
 
 __all__ = ["DEFAULT_GOODPUT_FLOOR_FRACTION", "blast_radius_experiment",
            "build_resilient_fleet", "canonical_fault_plan",
@@ -44,8 +48,8 @@ DEFAULT_RATE_RPS = 3.4
 #: chaos measure fault impact rather than baseline queueing.
 DEFAULT_DEADLINE_SECONDS = 60.0
 
-#: The CI gate: goodput must stay above this fraction of the offered
-#: rate under the canonical fault schedule.
+#: The goodput check: goodput must stay above this fraction of the
+#: offered rate under the canonical fault schedule.
 DEFAULT_GOODPUT_FLOOR_FRACTION = 0.7
 
 
@@ -204,13 +208,6 @@ def resilience_report(quick: bool = False, seed: int = 0,
     plan = canonical_fault_plan(horizon, seed=seed)
     fleet = run_resilient_fleet("mig-mps", n, plan=plan, seed=seed)
     fleet.pop("ecc_log")  # raw per-fault tuples; blast radius covers it
-    floor = DEFAULT_GOODPUT_FLOOR_FRACTION * DEFAULT_RATE_RPS
-    gate = {
-        "goodput_floor_rps": floor,
-        "goodput_rps": fleet["goodput_rps"],
-        "lost": fleet["lost"],
-        "pass": fleet["lost"] == 0 and fleet["goodput_rps"] >= floor,
-    }
     blast = blast_radius_experiment(
         n_requests=400 if quick else 1_200, seed=seed)
     return {
@@ -225,6 +222,12 @@ def resilience_report(quick: bool = False, seed: int = 0,
         },
         "plan_events": len(plan),
         "fleet": fleet,
-        "gate": gate,
         "blast_radius": blast,
+        "checks": [
+            check("lost", fleet["lost"], "==", 0),
+            check("goodput_rps", fleet["goodput_rps"], ">=",
+                  DEFAULT_GOODPUT_FLOOR_FRACTION * DEFAULT_RATE_RPS),
+            check("mig_kill_fraction", blast["mig"]["mean_kill_fraction"],
+                  "<", blast["mps"]["mean_kill_fraction"]),
+        ],
     }

@@ -12,7 +12,7 @@ bounded however long the trace.  Each run happens in a forked
 subprocess so ``ru_maxrss`` growth measures that run alone.  Speed
 comparisons between commits belong to ``perf/``; this section records
 the scenario's events/sec, RSS growth and latency summary, and the
-sharded engine's bit-identity and speedup gates.
+sharded engine's bit-identity and speedup checks.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ import resource
 import time
 from typing import Optional
 
+from repro.bench.harness import check
+
 __all__ = ["build_trace_serving", "trace_serving_metrics",
            "trace_serving_scale", "scale_report", "sharded_scale_benchmark",
-           "sharded_pair_benchmark", "sharded_speedup_note"]
+           "sharded_pair_benchmark"]
 
 #: The fixed fleet topology (see module docstring).  Batch size 1 with
 #: 16-token completions is the paper's fine-grained sharing regime: many
@@ -42,6 +44,11 @@ N_TOKENS = 16
 #: nearly every server keeps a kernel resident (~112 concurrent fluid
 #: tasks), light enough to stay stable.
 DEFAULT_RATE_RPS = 3.88
+
+#: Events/sec floor on the scenario run.  Generous (a 2-vCPU x86 box
+#: measures ~38k events/sec) so only a gross breakage trips it; speed
+#: regressions between commits are ``perf/compare.py``'s job.
+EVENTS_PER_SEC_FLOOR = 5_000
 
 
 def build_trace_serving(env, n_requests: int, rate_rps: float, seed: int,
@@ -198,14 +205,14 @@ def trace_serving_scale(n_requests: int,
 #: the canonical topology, so the ideal speedup is ``min(cores, 7)``.
 SHARDED_N_CELLS = 7
 #: Events/sec floor for sharded vs single-process on a multi-core
-#: runner (the gate is advisory on smaller machines — there is nothing
-#: to parallelise onto).
+#: runner (unmeasured on smaller machines — there is nothing to
+#: parallelise onto).
 SHARDED_SPEEDUP_FLOOR = 5.0
 SHARDED_MIN_CORES = 6
-#: The two-shard gate, which runs wherever two cores exist: two
+#: The two-shard check, which runs wherever two cores exist: two
 #: full-size cells on two worker processes against one process.  At
 #: the quick size (400 requests per cell) process start-up dominates
-#: and the ratio reads 1.00x, so only full-size runs carry this gate.
+#: and the ratio reads 1.00x, so only full-size runs carry this check.
 PAIR_N_CELLS = 2
 PAIR_REQUESTS_PER_CELL = 4_000
 PAIR_SPEEDUP_FLOOR = 1.4
@@ -223,15 +230,15 @@ def sharded_scale_benchmark(quick: bool = False, seed: int = 0,
 
     Runs the identical ``n_cells``-device workload twice — once
     in-process on one shard (serialised) and once over ``n_shards``
-    worker processes — then gates on two things: the deterministic
-    payloads must be bit-identical (shard count is an execution detail,
-    not a model input), and on a runner with at least ``min_cores``
-    cores the sharded run must clear ``speedup_floor``x the
-    single-process events/sec.  Below that core count the ratio says
-    nothing about the engine, so ``speedup_measured`` is false and
-    reports print it as unmeasured.  Worker RSS growth is reported per
-    shard so a leak in any one cell process is visible rather than
-    averaged away.
+    worker processes — then checks that the deterministic payloads are
+    bit-identical (shard count is an execution detail, not a model
+    input) and that, on a runner with at least ``min_cores`` cores, the
+    sharded run clears ``speedup_floor``x the single-process
+    events/sec.  Below that core count the ratio says
+    nothing about the engine, so the ``speedup`` check is
+    ``unmeasured``.  No worker may need a respawn.  Worker RSS growth
+    is reported per shard so a leak in any one cell process is visible
+    rather than averaged away.
     """
 
     import json
@@ -271,48 +278,34 @@ def sharded_scale_benchmark(quick: bool = False, seed: int = 0,
                            if k != "execution"}, sort_keys=True,
                           default=repr)
 
-    identical = payload(single_out) == payload(sharded_out)
     speedup = (sharded["events_per_sec"] / single["events_per_sec"]
                if single["events_per_sec"] > 0 else 0.0)
-    enforced = cores >= min_cores and n_shards >= speedup_floor
-    gate = {
-        "identical": identical,
-        "speedup_floor": speedup_floor,
-        "min_cores": min_cores,
-        "speedup": speedup,
-        "speedup_enforced": enforced,
-        "pass": identical and (not enforced or speedup >= speedup_floor),
-    }
     return {
         "n_cells": n_cells,
         "n_requests_per_cell": per_cell,
         "epoch_seconds": epoch_seconds,
         "cores": cores,
+        "min_cores": min_cores,
         "events_digest": sharded_out["merged"]["events_digest"],
         "merged_latency": sharded_out["merged"]["latency"],
         "single": single,
         "sharded": sharded,
         "speedup": speedup,
-        "speedup_measured": cores >= min_cores,
-        "gate": gate,
+        "checks": [
+            check("identical", payload(single_out) == payload(sharded_out),
+                  "==", True),
+            check("speedup", speedup, ">=", speedup_floor,
+                  measured=cores >= min_cores and n_shards >= speedup_floor),
+            check("worker_respawns", sum(sharded["worker_respawns"]),
+                  "==", 0),
+        ],
     }
 
 
-def sharded_speedup_note(sharded: dict) -> str:
-    """One line on the sharded speedup of a ``scale.sharded`` report."""
-    gate = sharded["gate"]
-    if not sharded["speedup_measured"]:
-        return (f"sharded speedup: unmeasured "
-                f"({sharded['cores']} cores < {gate['min_cores']})")
-    mode = "enforced" if gate["speedup_enforced"] else "advisory"
-    return (f"sharded speedup: {sharded['speedup']:.2f}x "
-            f"(floor {gate['speedup_floor']:g}x {mode})")
-
-
 def sharded_pair_benchmark(seed: int = 0) -> dict:
-    """The two-shard gate: :func:`sharded_scale_benchmark` on
+    """The two-shard checks: :func:`sharded_scale_benchmark` on
     ``PAIR_N_CELLS`` full-size cells over two workers, floor
-    ``PAIR_SPEEDUP_FLOOR``x, enforced from ``PAIR_MIN_CORES`` cores."""
+    ``PAIR_SPEEDUP_FLOOR``x, measured from ``PAIR_MIN_CORES`` cores."""
     return sharded_scale_benchmark(
         seed=seed, n_requests_per_cell=PAIR_REQUESTS_PER_CELL,
         n_cells=PAIR_N_CELLS, n_shards=2, speedup_floor=PAIR_SPEEDUP_FLOOR,
@@ -323,10 +316,14 @@ def scale_report(quick: bool = False, seed: int = 0) -> dict:
     """The ``scale`` section of ``BENCH_<date>.json``.
 
     Runs the scenario at 2,500 requests (``quick``) or 25,000, then the
-    sharded engine's gates — the two-shard gate only at full size —
+    sharded engine's checks — the two-shard ones only at full size —
     and, unless ``quick``, the million-request headline run.
     """
     compare_n = 2_500 if quick else 25_000
+    streaming = trace_serving_scale(compare_n, seed=seed)
+    streaming["checks"] = [check("events_per_sec",
+                                 streaming["events_per_sec"], ">=",
+                                 EVENTS_PER_SEC_FLOOR)]
     report = {
         "scenario": {
             "gpu": "A100_80GB",
@@ -338,7 +335,7 @@ def scale_report(quick: bool = False, seed: int = 0) -> dict:
             "rate_rps": DEFAULT_RATE_RPS,
         },
         "compare_n_requests": compare_n,
-        "streaming": trace_serving_scale(compare_n, seed=seed),
+        "streaming": streaming,
     }
     report["sharded"] = sharded_scale_benchmark(quick=quick, seed=seed)
     if not quick:

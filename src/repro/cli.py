@@ -191,8 +191,10 @@ def _cmd_weightcache(args, ctx) -> str:
 
 
 def _cmd_bench(args, ctx) -> str:
+    """``repro bench``: write the report, print the sweep timings and
+    every section's checks; exit 1 naming each failed check."""
+    from repro.bench.harness import format_checks
     from repro.bench.perfjson import write_bench_json
-    from repro.bench.scale_experiments import sharded_speedup_note
 
     path, report = write_bench_json(path=args.out, quick=args.quick,
                                     jobs=ctx.jobs)
@@ -206,112 +208,13 @@ def _cmd_bench(args, ctx) -> str:
         ["sweep", "configs", "serial s", "parallel s", "warm s",
          "warm speedup", "hit rate"],
         rows, title=f"Sweep wall-clock (jobs={report['jobs']})")
-    scale = report["scale"]
-    runs = [scale["streaming"]]
-    if "streaming_1m" in scale:
-        runs.append(scale["streaming_1m"])
-    rows = [
-        [f"{e['n_requests']:,}", f"{e['wall_seconds']:.2f}",
-         f"{e['events_per_sec']:,.0f}", f"{e['rss_growth_kb']:,}",
-         f"{e['latency']['mean']:.3f}"]
-        for e in runs
-    ]
-    scale_table = format_table(
-        ["requests", "wall s", "events/s", "rss growth kB", "mean lat s"],
-        rows, title=f"Trace-serving scale ({scale['scenario']['topology']})")
-    sh = scale["sharded"]
-    sh_gate = sh["gate"]
-    rows = [
-        [f"{run['shards']} shard{'s' if run['shards'] != 1 else ''}"
-         + ("" if run["processes"] else " (in-process)"),
-         f"{run['events']:,}", f"{run['wall_seconds']:.2f}",
-         f"{run['events_per_sec']:,.0f}"]
-        for run in (sh["single"], sh["sharded"])
-    ]
-    rows.append(["payloads bit-identical", sh_gate["identical"],
-                 f"digest {sh['events_digest'][:16]}", ""])
-    sharded_table = format_table(
-        ["sharded engine", "events", "wall s", "events/s"], rows,
-        title=f"Sharded scale ({sh['n_cells']} cells, {sh['cores']} cores, "
-              f"gate {'PASS' if sh_gate['pass'] else 'FAIL'})")
-    sharded_note = sharded_speedup_note(sh)
-    if "pair" in sh:
-        pair = sh["pair"]
-        sharded_note += (f"\ntwo-shard gate "
-                         f"({'PASS' if pair['gate']['pass'] else 'FAIL'}): "
-                         f"{sharded_speedup_note(pair)}")
-    res = report["resilience"]
-    fleet, gate, blast = res["fleet"], res["gate"], res["blast_radius"]
-    rows = [
-        ["goodput rps", f"{fleet['goodput_rps']:.3f}",
-         f"floor {gate['goodput_floor_rps']:.3f}"],
-        ["SLO attainment", f"{fleet['slo_attainment']:.3f}", ""],
-        ["lost requests", fleet["lost"], "must be 0"],
-        ["retry/hedge amplification", f"{fleet['amplification']:.3f}", ""],
-        ["MIG kill fraction", f"{blast['mig']['mean_kill_fraction']:.3f}",
-         f"{blast['mig']['faults']} ECC faults"],
-        ["MPS kill fraction", f"{blast['mps']['mean_kill_fraction']:.3f}",
-         f"isolation {blast['isolation_ratio']:.1f}x"],
-    ]
-    res_table = format_table(
-        ["resilience metric", "value", "note"], rows,
-        title=f"Chaos serving ({res['plan_events']} faults, "
-              f"gate {'PASS' if gate['pass'] else 'FAIL'})")
-    asc = report["autoscale"]
-    asc_gate = asc["gate"]
-    ctrl = asc["closed_loop"]["autoscaler"]
-    off_downtime = \
-        asc["closed_loop_cache_off"]["autoscaler"]["mean_restart_downtime"]
-    rows = [
-        ["closed loop",
-         f"{asc['closed_loop']['slo_good_fraction']:.3f}",
-         f"{ctrl['reconfigurations']} reconfigs"],
-        ["static small",
-         f"{asc['static_small']['slo_good_fraction']:.3f}",
-         "equal split"],
-        ["static large",
-         f"{asc['static_large']['slo_good_fraction']:.3f}",
-         "hot-peak-sized"],
-        ["mean restart downtime s",
-         f"{ctrl['mean_restart_downtime']:.2f}",
-         f"cache off: {off_downtime:.2f}"],
-        ["GPU-seconds vs statics",
-         f"{asc['gpu_seconds_ratio']['vs_small']:.3f}",
-         f"vs large {asc['gpu_seconds_ratio']['vs_large']:.3f}"],
-        ["twin runs identical", asc_gate["twin_identical"], "determinism"],
-    ]
-    asc_table = format_table(
-        ["autoscale (in-SLO fraction of offered)", "value", "note"], rows,
-        title=f"Online repartitioning "
-              f"(gate {'PASS' if asc_gate['pass'] else 'FAIL'})")
-    clu = report["cluster"]
-    clu_gate = clu["gate"]
-    contest = clu["contest"]
-    rows = [
-        ["greedy FFD", contest["greedy"]["gpus_used"],
-         f"{contest['greedy']['in_slo_fraction']:.3f}",
-         f"{contest['greedy']['wall_seconds']:.2f}s"],
-        ["repacking optimiser", contest["optimized"]["gpus_used"],
-         f"{contest['optimized']['in_slo_fraction']:.3f}",
-         f"{contest['optimized']['wall_seconds']:.2f}s"],
-        ["rejected functions", len(contest["optimized"]["rejected"]),
-         "typed infeasible", ""],
-        ["max weighted MPS cap sum", contest["max_weighted_cap_sum"],
-         "must be <= 100", ""],
-        ["twin runs identical", clu_gate["twin_identical"],
-         "determinism", ""],
-    ]
-    clu_table = format_table(
-        ["cluster packer", "GPUs used", "in-SLO", "note"], rows,
-        title=f"Cluster placement ({contest['n_gpus']} GPUs, "
-              f"{contest['n_functions']} functions, "
-              f"gate {'PASS' if clu_gate['pass'] else 'FAIL'})")
-    return (f"{sweeps}\n\n{scale_table}"
-            f"\n\n{sharded_table}\n{sharded_note}"
-            f"\n\n{res_table}"
-            f"\n\n{asc_table}"
-            f"\n\n{clu_table}"
-            f"\n\nwrote {path}")
+    checks = format_checks(report, title="Bench checks")
+    text = f"{sweeps}\n\n{checks}\n\nwrote {path}"
+    if report["failed"]:
+        print(text)
+        raise SystemExit("bench: failed checks: "
+                         + ", ".join(report["failed"]))
+    return text
 
 
 def _cmd_cluster(args, ctx) -> str:
@@ -663,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_weightcache)
 
     p = sub.add_parser("bench",
-                       help="time sweeps, run the bench gates, write JSON")
+                       help="time sweeps, run the bench checks, write JSON")
     p.add_argument("--quick", action="store_true",
                    help="reduced sizes (CI smoke run)")
     p.add_argument("--out", default=None, metavar="PATH",

@@ -28,5 +28,5 @@ __getattr__, __dir__, __all__ = attach(__name__, {
               "LatencyCurve", "build_fleet"],
     "oracle": ["FunctionPlan", "SizingOracle", "SliceCandidate"],
     "packing": ["greedy_pack", "optimize_pack"],
-    "feedback": ["ClusterFeedback", "WindowedRateSensor", "placement_diff"],
+    "feedback": ["ClusterFeedback", "placement_diff"],
 })

@@ -4,7 +4,10 @@
 ``(offered count, as-of time)`` samples — the monotone offered counters
 of :class:`~repro.telemetry.resilience.ResilienceStats`, as a fleet's
 ``sensor_snapshot`` publishes them — turns their deltas into windowed
-arrival rates, and smooths them.  When the sensed rates drift past a
+arrival rates through the
+:class:`~repro.telemetry.streaming.WindowedRateSensor` the
+:class:`~repro.workloads.autoscale.FleetAutoscaler` also senses with,
+and smooths them.  When the sensed rates drift past a
 threshold from the rates the current placement was sized for, the
 adapter re-runs the segment packer and reports the placement diff (GPUs
 freed/added, segments moved).  Replanning is deliberately *not*
@@ -21,31 +24,9 @@ from repro.gpu.specs import GPUSpec
 from repro.cluster.model import ClusterPlacement, FunctionDemand
 from repro.cluster.oracle import SizingOracle
 from repro.cluster.packing import optimize_pack
+from repro.telemetry.streaming import WindowedRateSensor
 
-__all__ = ["ClusterFeedback", "WindowedRateSensor", "placement_diff"]
-
-
-class WindowedRateSensor:
-    """Offered-count deltas -> windowed arrival rates, one mark per
-    function (the cluster-tier sibling of the FleetAutoscaler's
-    ``_sense``: monotone counters in, rates out, first sample primes)."""
-
-    def __init__(self) -> None:
-        self._marks: dict[str, tuple[float, float]] = {}
-
-    def observe(self, name: str, offered: float,
-                as_of: float) -> Optional[float]:
-        """Rate over the window since the last observation, or ``None``
-        while priming / on a stalled or rewound counter."""
-        last = self._marks.get(name)
-        self._marks[name] = (offered, as_of)
-        if last is None:
-            return None
-        last_offered, last_time = last
-        window = as_of - last_time
-        if window <= 0 or offered < last_offered:
-            return None  # stalled clock or restarted counter: re-prime
-        return (offered - last_offered) / window
+__all__ = ["ClusterFeedback", "placement_diff"]
 
 
 class ClusterFeedback:

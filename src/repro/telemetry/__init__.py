@@ -11,7 +11,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "cost": ["CostReport", "GpuCostModel", "cost_report"],
     "graph": ["critical_path", "parallelism_profile", "task_graph"],
     "resilience": ["ResilienceStats"],
-    "streaming": ["P2Quantile", "ReservoirSample", "StreamingLatencyStats",
-                  "WindowedRates", "merge_event_streams",
+    "streaming": ["P2Quantile", "StreamingLatencyStats",
+                  "WindowedRateSensor", "merge_event_streams",
                   "replay_latency_stats"],
 })

@@ -8,33 +8,28 @@ provides one-pass accumulators with O(1) state:
 
 - :class:`P2Quantile` — the P² (piecewise-parabolic) single-quantile
   estimator of Jain & Chlamtac (1985): five markers, no samples stored.
-- :class:`ReservoirSample` — Algorithm R uniform reservoir, for when an
-  actual (bounded) sample is wanted for debugging or plotting.
 - :class:`StreamingLatencyStats` — drop-in producer of the same
   :class:`~repro.telemetry.metrics.LatencyStats` record the batch
   ``summarize`` returns, with p50/p95/p99 estimated by P².
-- :class:`WindowedRates` — per-window arrival counts over a bounded ring
-  of recent windows plus an all-time peak, replacing the full
-  ``to_rate_series`` list.
+- :class:`WindowedRateSensor` — arrival rates from monotone offered
+  counters, over the true window between observations (the control
+  tiers' demand sensor).
 
 P² estimates are approximate (typically within a percent or two of the
 exact sample quantile for unimodal data); ``count``/``mean``/``min``/
 ``max`` are exact (the mean is compensated — see
 :mod:`repro.sim.numerics`).
 
-Every accumulator also has an ``add_many`` batch path that is
-bit-identical to the equivalent sequence of ``add`` calls (RNG draws
-included, for the reservoir): order-free reductions are vectorised,
-while the sequential recurrences (Kahan compensation, P2 markers,
-Algorithm R draws) run as tight loops over locals.  The property suite
-pins each batch path against its scalar twin.
+:class:`StreamingLatencyStats` also has an ``add_many`` batch path
+that is bit-identical to the equivalent sequence of ``add`` calls:
+order-free reductions are vectorised, while the sequential recurrences
+(Kahan compensation, P2 markers) run as tight loops over locals.  The
+property suite pins the batch path against its scalar twin.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from collections import deque
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,9 +39,8 @@ from repro.telemetry.metrics import LatencyStats
 
 __all__ = [
     "P2Quantile",
-    "ReservoirSample",
     "StreamingLatencyStats",
-    "WindowedRates",
+    "WindowedRateSensor",
     "merge_event_streams",
     "replay_latency_stats",
 ]
@@ -134,68 +128,6 @@ class P2Quantile:
             hi = min(lo + 1, len(s) - 1)
             return s[lo] + (h - lo) * (s[hi] - s[lo])
         return self._q[2]
-
-
-class ReservoirSample:
-    """Uniform k-sample of a stream (Vitter's Algorithm R), seeded.
-
-    ``sample`` is a uniform random subset of everything seen so far;
-    useful when a benchmark wants an actual latency sample (histogram,
-    debugging) without retaining the full stream.
-    """
-
-    __slots__ = ("k", "count", "sample", "_rng")
-
-    def __init__(self, k: int, seed: int = 0):
-        if k <= 0:
-            raise ValueError("reservoir size must be positive")
-        self.k = k
-        self.count = 0
-        self.sample: list[float] = []
-        self._rng = random.Random(seed)
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        if len(self.sample) < self.k:
-            self.sample.append(x)
-        else:
-            j = self._rng.randrange(self.count)
-            if j < self.k:
-                self.sample[j] = x
-
-    def add_many(self, xs) -> None:
-        """Batch ingest, bit-identical to repeated :meth:`add` — RNG
-        draw sequence included.
-
-        Algorithm R's replacement draw is ``randrange(count)`` with
-        ``count`` incrementing per element — a sequential RNG recurrence
-        that cannot be batched without changing which elements survive.
-        The batch path vectorises what it can: values are staged through
-        one float64 array (as :meth:`StreamingLatencyStats.add_many`
-        does), the draw-free pre-fill prefix is spliced in wholesale,
-        and the replacement phase runs as a tight loop over locals.
-        """
-        arr = np.asarray(xs, dtype=np.float64)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
-        if arr.size == 0:
-            return
-        vals = arr.tolist()
-        sample = self.sample
-        k = self.k
-        start = 0
-        if len(sample) < k:
-            start = min(k - len(sample), len(vals))
-            sample.extend(vals[:start])
-            self.count += start
-        count = self.count
-        randrange = self._rng.randrange
-        for x in vals[start:]:
-            count += 1
-            j = randrange(count)
-            if j < k:
-                sample[j] = x
-        self.count = count
 
 
 class StreamingLatencyStats:
@@ -287,112 +219,33 @@ class StreamingLatencyStats:
         )
 
 
-class WindowedRates:
-    """Per-window event counts over a bounded ring of recent windows.
+class WindowedRateSensor:
+    """Monotone counters in, windowed arrival rates out, one mark per name.
 
-    Events must arrive in non-decreasing time order (true for simulated
-    completions and trace arrivals).  Keeps at most ``keep`` recent
-    windows plus the all-time peak, so memory stays O(keep) regardless
-    of horizon — unlike ``to_rate_series``, which materialises every
-    window.
+    Each :meth:`observe` divides the counter's delta by the true time
+    since the previous observation of that name, so an irregular
+    cadence (a control tick delayed by the previous tick's actuation)
+    still reads the right rate.  The first observation primes.
     """
 
-    __slots__ = ("window", "keep", "count", "_recent", "_cur_idx",
-                 "_cur_count", "_peak_count", "_last_t")
+    def __init__(self) -> None:
+        #: name -> (counter, as_of) of the latest observation.
+        self.marks: dict[str, tuple[float, float]] = {}
 
-    def __init__(self, window: float = 60.0, keep: int = 64):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if keep <= 0:
-            raise ValueError("keep must be positive")
-        self.window = window
-        self.keep = keep
-        self.count = 0
-        self._recent: deque[tuple[int, int]] = deque(maxlen=keep)
-        self._cur_idx: Optional[int] = None
-        self._cur_count = 0
-        self._peak_count = 0
-        self._last_t = -math.inf
-
-    def add(self, t: float) -> None:
-        if t < self._last_t:
-            raise ValueError(
-                f"out-of-order observation {t!r} after {self._last_t!r}"
-            )
-        self._last_t = t
-        idx = int(t // self.window)
-        if idx != self._cur_idx:
-            self._flush()
-            self._cur_idx = idx
-        self._cur_count += 1
-        self.count += 1
-
-    def add_many(self, times) -> None:
-        """Batch ingest of a non-decreasing run, bit-identical to
-        repeated :meth:`add`.
-
-        Window indices for the whole batch come from one vectorised
-        floor-divide (``numpy.float64.__floordiv__`` matches Python's
-        ``//`` semantics), and consecutive equal indices collapse into a
-        single counter update — one Python-level step per *window
-        boundary* instead of per event, while the flush order (hence
-        the ring contents and peak) is exactly the scalar loop's.
-
-        The one divergence from the scalar loop is error timing: the
-        batch is validated up front, so an out-of-order element raises
-        before *any* element is ingested, where sequential :meth:`add`
-        calls would have consumed the prefix first.
-        """
-        arr = np.asarray(times, dtype=np.float64)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
-        if arr.size == 0:
-            return
-        if arr[0] < self._last_t:
-            raise ValueError(
-                f"out-of-order observation {float(arr[0])!r} "
-                f"after {self._last_t!r}"
-            )
-        bad = np.flatnonzero(arr[1:] < arr[:-1])
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(
-                f"out-of-order observation {float(arr[i + 1])!r} "
-                f"after {float(arr[i])!r}"
-            )
-        idx = (arr // self.window).astype(np.int64)
-        cut = np.flatnonzero(idx[1:] != idx[:-1]) + 1
-        starts = np.concatenate(([0], cut)).tolist()
-        ends = np.concatenate((cut, [idx.size])).tolist()
-        for s, e in zip(starts, ends):
-            win = int(idx[s])
-            if win != self._cur_idx:
-                self._flush()
-                self._cur_idx = win
-            self._cur_count += e - s
-        self.count += arr.size
-        self._last_t = float(arr[-1])
-
-    def _flush(self) -> None:
-        if self._cur_idx is not None and self._cur_count:
-            self._recent.append((self._cur_idx, self._cur_count))
-            if self._cur_count > self._peak_count:
-                self._peak_count = self._cur_count
-        self._cur_count = 0
-
-    @property
-    def peak_rate(self) -> float:
-        """Highest per-window rate seen so far (events/second)."""
-        return max(self._peak_count, self._cur_count) / self.window
-
-    def recent_rates(self) -> list[tuple[float, float]]:
-        """(window start time, rate) for the retained recent windows."""
-        out = [(idx * self.window, c / self.window)
-               for idx, c in self._recent]
-        if self._cur_count:
-            out.append((self._cur_idx * self.window,
-                        self._cur_count / self.window))
-        return out
+    def observe(self, name: str, count: float,
+                as_of: float) -> Optional[float]:
+        """Rate over the window since the last observation, or ``None``
+        while priming / on a stalled clock or rewound counter (the mark
+        still advances, so the next window starts here)."""
+        last = self.marks.get(name)
+        self.marks[name] = (count, as_of)
+        if last is None:
+            return None
+        last_count, last_time = last
+        window = as_of - last_time
+        if window <= 0 or count < last_count:
+            return None  # stalled clock or restarted counter: re-prime
+        return (count - last_count) / window
 
 
 # ------------------------------------------------------- deterministic merge

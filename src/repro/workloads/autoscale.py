@@ -65,7 +65,7 @@ from repro.partition.autoscaler import (
     scaled_percentages,
 )
 from repro.partition.reconfig import ReconfigurationPlanner
-from repro.telemetry.streaming import P2Quantile
+from repro.telemetry.streaming import P2Quantile, WindowedRateSensor
 from repro.workloads.fleet import AutoscaledServingFleet, FunctionGroup
 from repro.workloads.resilience import CircuitBreaker
 
@@ -103,11 +103,10 @@ def _chain_taps(prior, tap):
 class _Monitor:
     """Per-function demand/health window (O(1) state)."""
 
-    __slots__ = ("offered_mark", "terminated_mark", "suspect",
-                 "quantile", "samples", "violation_q")
+    __slots__ = ("terminated_mark", "suspect", "quantile", "samples",
+                 "violation_q")
 
     def __init__(self, violation_q: float):
-        self.offered_mark = 0
         #: Ground-truth terminations (completed + shed + failed) at the
         #: last tick — the plausibility anchor for published telemetry.
         self.terminated_mark = 0
@@ -261,7 +260,13 @@ class FleetAutoscaler:
         self.degraded_seconds = 0.0
         self._monitors: dict[str, _Monitor] = {}
         self._controls: dict[str, _ResizeControl] = {}
+        #: Published offered counters -> rates over the true window
+        #: since the previous tick (a tick that actuated delays the
+        #: next one), primed here.
+        self._rates = WindowedRateSensor()
         for name, group in fleet.groups.items():
+            self._rates.observe(name, fleet.sensor_snapshot(name)[0],
+                                fleet.env.now)
             monitor = _Monitor(violation_quantile)
             self._monitors[name] = monitor
             self._controls[name] = _ResizeControl(
@@ -311,7 +316,8 @@ class FleetAutoscaler:
           spike or crash.
 
         Marks always advance (to the *published* values), so a bounded
-        fault costs a bounded number of degraded ticks.
+        fault costs a bounded number of degraded ticks.  A rewound
+        counter reads as rate 0.
         """
         env = self.fleet.env
         rates: dict[str, float] = {}
@@ -321,11 +327,10 @@ class FleetAutoscaler:
             offered, as_of = self.fleet.sensor_snapshot(name)
             stats = group.stats
             terminated = stats.completed + stats.shed + stats.failed
-            delta_pub = offered - monitor.offered_mark
+            delta_pub = offered - self._rates.marks[name][0]
             delta_term = terminated - monitor.terminated_mark
-            monitor.offered_mark = offered
             monitor.terminated_mark = terminated
-            rates[name] = max(0, delta_pub) / self.interval
+            rates[name] = self._rates.observe(name, offered, env.now) or 0.0
             if env.now - as_of >= self.sensor_stale_after:
                 reason = "stale sensor"
             elif delta_pub < 0 or delta_pub > self.plausibility_factor * \

@@ -6,12 +6,12 @@ from repro.cluster import (
     ClusterFeedback,
     FunctionDemand,
     LatencyCurve,
-    WindowedRateSensor,
     optimize_pack,
     placement_diff,
 )
 from repro.gpu import A100_80GB, V100_32GB
 from repro.gpu.specs import GB
+from repro.telemetry.streaming import WindowedRateSensor
 
 INVENTORY = [(A100_80GB, 12), (V100_32GB, 4)]
 

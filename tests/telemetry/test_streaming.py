@@ -1,7 +1,5 @@
 """Streaming accumulators vs their batch counterparts."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sim.numerics import KahanSum
 from repro.telemetry import summarize
-from repro.telemetry.streaming import (
-    P2Quantile,
-    ReservoirSample,
-    StreamingLatencyStats,
-    WindowedRates,
-)
+from repro.telemetry.streaming import P2Quantile, StreamingLatencyStats
 
 
 # ------------------------------------------------------------------ P2
@@ -67,26 +60,6 @@ def test_p2_rejects_bad_quantile():
         P2Quantile(0.5).value
 
 
-# ------------------------------------------------------------ reservoir
-
-def test_reservoir_bounded_and_uniformish():
-    res = ReservoirSample(100, seed=3)
-    for i in range(10_000):
-        res.add(float(i))
-    assert len(res.sample) == 100
-    assert res.count == 10_000
-    # A uniform 100-sample of [0, 10000) should span the range broadly.
-    assert min(res.sample) < 2_000
-    assert max(res.sample) > 8_000
-
-
-def test_reservoir_keeps_everything_when_small():
-    res = ReservoirSample(10)
-    for i in range(7):
-        res.add(float(i))
-    assert sorted(res.sample) == [float(i) for i in range(7)]
-
-
 # ------------------------------------------------------ latency stats
 
 def test_streaming_latency_stats_vs_summarize():
@@ -126,122 +99,3 @@ def test_kahan_survives_tiny_increments():
     assert kahan.value == pytest.approx(1e9 + 1e-3, rel=1e-12)
     # The naive total lost a visible fraction of the increments.
     assert abs(naive - (1e9 + 1e-3)) > 1e-4
-
-
-# ----------------------------------------------------------- windowed
-
-def test_windowed_rates_matches_to_rate_series_peak():
-    from repro.workloads.traces import poisson_trace, to_rate_series
-
-    trace = poisson_trace(5.0, 600.0, seed=4)
-    wr = WindowedRates(window=60.0, keep=4)
-    for t in trace:
-        wr.add(t)
-    series = to_rate_series(trace, 600.0, window=60.0)
-    assert wr.peak_rate == pytest.approx(max(series))
-    assert wr.count == len(trace)
-    # Bounded retention: only the last `keep` windows (plus the open
-    # one) survive.
-    assert len(wr.recent_rates()) <= 5
-
-
-def test_windowed_rates_rejects_out_of_order():
-    wr = WindowedRates(window=1.0)
-    wr.add(5.0)
-    with pytest.raises(ValueError):
-        wr.add(4.0)
-    assert math.isclose(wr.peak_rate, 1.0)
-
-
-# ------------------------------------------------- batch-path bit-identity
-
-sorted_times = st.lists(
-    st.floats(min_value=0.0, max_value=5000.0,
-              allow_nan=False, allow_infinity=False),
-    max_size=300,
-).map(sorted)
-
-
-@given(ts=sorted_times,
-       window=st.sampled_from([1.0, 7.5, 60.0]),
-       splits=st.lists(st.integers(0, 300), max_size=3))
-@settings(max_examples=120, deadline=None)
-def test_windowed_add_many_bit_identical_to_scalar(ts, window, splits):
-    """add_many == the scalar add loop: counts, ring, peak, clock —
-    regardless of how the stream is cut into batches."""
-    scalar = WindowedRates(window, keep=5)
-    for t in ts:
-        scalar.add(t)
-    batch = WindowedRates(window, keep=5)
-    cuts = sorted(min(s, len(ts)) for s in splits) + [len(ts)]
-    prev = 0
-    for c in cuts:
-        batch.add_many(np.asarray(ts[prev:c]))
-        prev = c
-    assert batch.count == scalar.count
-    assert batch.peak_rate == scalar.peak_rate
-    assert batch.recent_rates() == scalar.recent_rates()
-    assert batch._last_t == scalar._last_t
-
-
-def test_windowed_add_many_window_boundaries_exact():
-    """Events landing exactly on k*window must bucket like the scalar
-    path (int(t // window) — same floor-divide semantics)."""
-    w = 60.0
-    ts = [0.0, 59.999999999999996, 60.0, 119.99999999999999, 120.0, 180.0]
-    scalar, batch = WindowedRates(w), WindowedRates(w)
-    for t in ts:
-        scalar.add(t)
-    batch.add_many(ts)
-    assert batch.recent_rates() == scalar.recent_rates()
-    assert batch.peak_rate == scalar.peak_rate
-
-
-def test_windowed_add_many_rejects_out_of_order_before_ingesting():
-    w = WindowedRates(60.0)
-    w.add(10.0)
-    with pytest.raises(ValueError, match="out-of-order"):
-        w.add_many([5.0])
-    with pytest.raises(ValueError, match="out-of-order"):
-        w.add_many([11.0, 12.0, 11.5])
-    # Validated up front: the failed batch ingested nothing.
-    assert w.count == 1
-    assert w._last_t == 10.0
-
-
-def test_windowed_add_many_empty_is_noop():
-    w = WindowedRates(60.0)
-    w.add_many([])
-    w.add_many(np.empty(0))
-    assert w.count == 0
-
-
-@given(xs=st.lists(st.floats(min_value=0.0, max_value=1e6,
-                             allow_nan=False, allow_infinity=False),
-                   max_size=200),
-       k=st.integers(1, 25),
-       seed=st.integers(0, 2 ** 20))
-@settings(max_examples=120, deadline=None)
-def test_reservoir_add_many_bit_identical_to_scalar(xs, k, seed):
-    """add_many == the scalar add loop including the RNG draw sequence,
-    so the surviving sample AND the generator state match."""
-    scalar = ReservoirSample(k, seed=seed)
-    for x in xs:
-        scalar.add(x)
-    batch = ReservoirSample(k, seed=seed)
-    mid = len(xs) // 2
-    batch.add_many(xs[:mid])
-    batch.add_many(np.asarray(xs[mid:]))
-    assert batch.sample == scalar.sample
-    assert batch.count == scalar.count
-    assert batch._rng.getstate() == scalar._rng.getstate()
-
-
-def test_reservoir_add_many_fill_phase_draws_nothing():
-    """The pre-fill prefix consumes no RNG draws (scalar add's fill
-    branch never touches the generator either)."""
-    r = ReservoirSample(8, seed=1)
-    state0 = r._rng.getstate()
-    r.add_many([1.0, 2.0, 3.0])
-    assert r.sample == [1.0, 2.0, 3.0]
-    assert r._rng.getstate() == state0

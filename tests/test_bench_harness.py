@@ -55,25 +55,69 @@ def test_results_dir_env_override(tmp_path, monkeypatch):
     assert os.path.isdir(results_dir())
 
 
+def _check(section, name):
+    (entry,) = [c for c in section["checks"] if c["name"] == name]
+    return entry
+
+
+def test_check_verdicts_and_threshold_string():
+    from repro.bench.harness import check
+
+    assert check("lost", 0, "==", 0) == {
+        "name": "lost", "value": 0, "threshold": "== 0", "verdict": "pass"}
+    assert check("rate", 2.3, ">=", 0.7 * 3.4)["threshold"] == ">= 2.38"
+    assert check("rate", 2.3, ">=", 0.7 * 3.4)["verdict"] == "fail"
+    assert check("same", True, "==", True)["threshold"] == "== true"
+    assert check("speedup", 0.9, ">=", 5.0,
+                 measured=False)["verdict"] == "unmeasured"
+
+
+def test_check_verdicts_name_every_failed_and_unmeasured_check():
+    from repro.bench.harness import check, check_verdicts, format_checks
+
+    report = {
+        "sweeps": {"fig2": {"checks": [check("configs", 4, ">", 0)]}},
+        "scale": {"sharded": {
+            "checks": [check("speedup", 1.0, ">=", 5.0, measured=False)],
+            "pair": {"checks": [check("identical", False, "==", True)]}}},
+        "cluster": {"checks": [check("fewer_gpus", 9, "<", 9)]},
+    }
+    assert check_verdicts(report) == {
+        "failed": ["scale.sharded.pair.identical", "cluster.fewer_gpus"],
+        "unmeasured": ["scale.sharded.speedup"]}
+    table = format_checks(report)
+    assert "sweeps.fig2.configs" in table
+    assert "UNMEASURED" in table and "FAIL" in table
+
+
 def test_sharded_speedup_below_min_cores_is_unmeasured(monkeypatch):
     from repro.bench import scale_experiments as se
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     report = se.sharded_scale_benchmark(n_requests_per_cell=20, n_cells=2)
     assert report["cores"] == 2
-    assert report["speedup_measured"] is False
-    assert report["gate"]["identical"] and report["gate"]["pass"]
-    assert se.sharded_speedup_note(report) == \
-        f"sharded speedup: unmeasured (2 cores < {se.SHARDED_MIN_CORES})"
+    assert report["min_cores"] == se.SHARDED_MIN_CORES
+    assert [c["name"] for c in report["checks"]] == \
+        ["identical", "speedup", "worker_respawns"]
+    assert _check(report, "identical")["verdict"] == "pass"
+    assert _check(report, "worker_respawns")["verdict"] == "pass"
+    speedup = _check(report, "speedup")
+    assert speedup["verdict"] == "unmeasured"
+    assert speedup["value"] == report["speedup"]
+    assert speedup["threshold"] == ">= 5"
 
 
-def test_sharded_speedup_note_prints_measured_ratio():
-    from repro.bench.scale_experiments import sharded_speedup_note
+def test_sharded_speedup_note_prints_measured_ratio(monkeypatch):
+    from repro.bench import scale_experiments as se
 
-    sharded = {"cores": 8, "speedup": 5.4321, "speedup_measured": True,
-               "gate": {"speedup_floor": 5.0, "speedup_enforced": True}}
-    assert sharded_speedup_note(sharded) == \
-        "sharded speedup: 5.43x (floor 5x enforced)"
+    monkeypatch.setattr(os, "cpu_count", lambda: se.SHARDED_MIN_CORES)
+    report = se.sharded_scale_benchmark(n_requests_per_cell=20, n_cells=2,
+                                        n_shards=se.SHARDED_MIN_CORES)
+    speedup = _check(report, "speedup")
+    assert speedup["value"] == report["speedup"] > 0
+    assert speedup["threshold"] == ">= 5"
+    assert speedup["verdict"] == \
+        ("pass" if report["speedup"] >= 5.0 else "fail")
 
 
 def test_two_shard_gate_below_two_cores_is_unmeasured(monkeypatch):
@@ -83,17 +127,21 @@ def test_two_shard_gate_below_two_cores_is_unmeasured(monkeypatch):
     report = se.sharded_scale_benchmark(
         n_requests_per_cell=20, n_cells=se.PAIR_N_CELLS, n_shards=2,
         speedup_floor=se.PAIR_SPEEDUP_FLOOR, min_cores=se.PAIR_MIN_CORES)
-    assert report["speedup_measured"] is False
-    assert report["gate"]["speedup_enforced"] is False
-    assert report["gate"]["identical"] and report["gate"]["pass"]
-    assert se.sharded_speedup_note(report) == \
-        "sharded speedup: unmeasured (1 cores < 2)"
+    assert _check(report, "identical")["verdict"] == "pass"
+    speedup = _check(report, "speedup")
+    assert speedup["verdict"] == "unmeasured"
+    assert speedup["threshold"] == ">= 1.4"
 
 
-def test_two_shard_note_prints_fractional_floor():
-    from repro.bench.scale_experiments import sharded_speedup_note
+def test_two_shard_note_prints_fractional_floor(monkeypatch):
+    from repro.bench import scale_experiments as se
 
-    sharded = {"cores": 2, "speedup": 1.634, "speedup_measured": True,
-               "gate": {"speedup_floor": 1.4, "speedup_enforced": True}}
-    assert sharded_speedup_note(sharded) == \
-        "sharded speedup: 1.63x (floor 1.4x enforced)"
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = se.sharded_scale_benchmark(
+        n_requests_per_cell=20, n_cells=se.PAIR_N_CELLS, n_shards=2,
+        speedup_floor=se.PAIR_SPEEDUP_FLOOR, min_cores=se.PAIR_MIN_CORES)
+    speedup = _check(report, "speedup")
+    assert speedup["value"] == report["speedup"] > 0
+    assert speedup["threshold"] == ">= 1.4"
+    assert speedup["verdict"] == \
+        ("pass" if report["speedup"] >= 1.4 else "fail")

@@ -105,56 +105,87 @@ def test_global_jobs_flag_reaches_runner(capsys, monkeypatch):
     assert seen["ctx"].runner.jobs == 2
 
 
+#: Every check a quick ``repro bench`` reports, by dotted name.
+QUICK_BENCH_CHECKS = {
+    *(f"sweeps.{sweep}.{name}"
+      for sweep in ("fig2_sm_sweep", "fig4_fig5_sweep")
+      for name in ("configs", "cache_hit_rate", "warm_seconds")),
+    "scale.streaming.events_per_sec",
+    "scale.sharded.identical", "scale.sharded.speedup",
+    "scale.sharded.worker_respawns",
+    "resilience.lost", "resilience.goodput_rps",
+    "resilience.mig_kill_fraction",
+    *(f"autoscale.{name}"
+      for name in ("beats_static_small", "beats_static_large",
+                   "gpu_seconds_matched", "cache_shrinks_downtime",
+                   "reconfigurations", "twin_identical", "lost")),
+    *(f"autoscale.chaos.{name}"
+      for name in ("lost", "resize_aborts", "resize_rollbacks",
+                   "degraded_ticks", "slo_ratio_vs_fault_free",
+                   "twin_identical")),
+    *(f"cluster.{name}"
+      for name in ("fewer_gpus", "in_slo_delta", "rejections_match",
+                   "max_weighted_cap_sum", "twin_identical",
+                   "drift_triggered", "settled_after_replan")),
+}
+
+
 def test_bench_quick_writes_wellformed_json(capsys, tmp_path):
     import json
+
+    from repro.bench.harness import iter_checks
 
     out_path = tmp_path / "bench.json"
     out = run_cli(capsys, "--jobs", "1", "bench", "--quick",
                   "--out", str(out_path))
     assert "wrote" in out
+    assert "Bench checks" in out
     report = json.loads(out_path.read_text())
-    assert report["schema"] == "repro-bench/9"
+    assert report["schema"] == "repro-bench/10"
     assert report["quick"] is True
     # repro-bench/6: provenance SHA.
     assert "git_sha" in report
-    for sweep in report["sweeps"].values():
-        assert sweep["configs"] > 0
-        assert sweep["cache_hit_rate"] == 1.0
-    scale = report["scale"]
-    assert "streaming_1m" not in scale  # full runs only
-    assert "pair" not in scale["sharded"]  # full runs only
-    assert scale["streaming"]["events_per_sec"] > 0
-    sharded = scale["sharded"]
-    assert sharded["gate"]["identical"] is True
-    assert sharded["gate"]["pass"] is True
-    assert sharded["sharded"]["worker_respawns"] == \
-        [0] * len(sharded["sharded"]["worker_respawns"])
-    assert "speedup" in out
-    resilience = report["resilience"]
-    assert resilience["gate"]["lost"] == 0
-    assert resilience["gate"]["pass"] is True
-    blast = resilience["blast_radius"]
-    assert blast["mig"]["mean_kill_fraction"] < \
-        blast["mps"]["mean_kill_fraction"]
-    assert "Chaos serving" in out
-    autoscale = report["autoscale"]
-    assert autoscale["gate"]["lost"] == 0
-    assert autoscale["gate"]["pass"] is True
-    # repro-bench/7: the control-plane chaos subsection and its gate.
-    chaos = autoscale["chaos"]
-    assert chaos["gate"]["lost"] == 0
-    assert chaos["gate"]["rollbacks_verified"] is True
-    assert chaos["gate"]["twin_identical"] is True
-    assert chaos["gate"]["pass"] is True
-    assert "Online repartitioning" in out
-    # repro-bench/8: the cluster placement contest and its gate.
-    cluster = report["cluster"]
-    assert cluster["gate"]["fewer_gpus"] is True
-    assert cluster["gate"]["caps_bounded"] is True
-    assert cluster["gate"]["twin_identical"] is True
-    assert cluster["gate"]["pass"] is True
-    assert cluster["feedback"]["drift_triggered"] is True
-    assert "Cluster placement" in out
+    assert "streaming_1m" not in report["scale"]  # full runs only
+    assert report["failed"] == []
+    assert {name for name, _ in iter_checks(report)} == QUICK_BENCH_CHECKS
+    for name, entry in iter_checks(report):
+        assert entry["verdict"] in ("pass", "unmeasured"), name
+        assert name in out
+
+
+def test_bench_exits_nonzero_naming_each_failed_check(capsys, tmp_path,
+                                                       monkeypatch):
+    """A failed check makes ``repro bench`` exit 1 and name it; the
+    report is written first."""
+    import json
+
+    from repro.bench import (autoscale_experiments, cluster_experiments,
+                             perfjson, resilience_experiments,
+                             scale_experiments)
+    from repro.bench.harness import check
+
+    def section(*checks):
+        return lambda quick=False: {"checks": list(checks)}
+
+    monkeypatch.setattr(perfjson, "_sweep_fns", lambda quick: {})
+    monkeypatch.setattr(scale_experiments, "scale_report", section(
+        check("speedup", 1.0, ">=", 5.0, measured=False)))
+    monkeypatch.setattr(resilience_experiments, "resilience_report",
+                        section(check("lost", 3, "==", 0)))
+    monkeypatch.setattr(autoscale_experiments, "autoscale_report",
+                        section(check("lost", 0, "==", 0)))
+    monkeypatch.setattr(cluster_experiments, "cluster_report", section(
+        check("fewer_gpus", 12, "<", 12)))
+    out_path = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--quick", "--out", str(out_path)])
+    assert exc.value.code == \
+        "bench: failed checks: resilience.lost, cluster.fewer_gpus"
+    out = capsys.readouterr().out
+    assert "resilience.lost" in out and "FAIL" in out
+    report = json.loads(out_path.read_text())
+    assert report["failed"] == ["resilience.lost", "cluster.fewer_gpus"]
+    assert report["unmeasured"] == ["scale.speedup"]
 
 
 def test_sharded_autoscale_payload_is_independent_of_the_builtin_sum(

@@ -302,6 +302,50 @@ def test_autoscaler_stable_demand_no_thrashing():
                for d in scaler.decisions[held:])
 
 
+def test_rates_divide_by_the_true_window_after_an_actuation():
+    """A tick that actuates delays the next one, whose window then
+    spans the interval plus the actuation.  With a cooldown short
+    enough to act on that tick (``cooldown * slo_bypass_factor <=
+    interval``) the rate must be read over the true window: the
+    interval would overstate the hot demand and repartition."""
+    env, fleet = make_fleet()
+    ticks = []  # published offered counts at each sensor read
+    published = fleet.sensor_snapshot
+
+    def spy(name):
+        offered, as_of = published(name)
+        if name == "hot":
+            ticks.append({"time": env.now})
+        ticks[-1][name] = offered
+        return offered, as_of
+
+    fleet.sensor_snapshot = spy
+    scaler = FleetAutoscaler(fleet, interval_seconds=20.0,
+                             cooldown_seconds=0.0)
+    scaler.start()
+    drive(env, fleet, "hot", rate=1.0, horizon=200.0, seed=1)
+    drive(env, fleet, "cold", rate=0.2, horizon=200.0, seed=2)
+    env.run(until=90.0)
+    # ticks[0] primes at construction; decision i senses at ticks[i + 1].
+    assert [d.applied for d in scaler.decisions[:3]] == [True, True, False]
+    before, after = ticks[2], ticks[3]
+    window = after["time"] - before["time"]
+    assert window > scaler.interval + 5.0  # stretched by the resize
+
+    def rates(seconds):
+        return {name: (after[name] - before[name]) / seconds
+                for name in ("hot", "cold")}
+
+    decision = scaler.decisions[2]
+    assert decision.percentages == scaler.desired_percentages(rates(window))
+    assert decision.reason == "within threshold"
+    # Divided by the interval, the same counts would have moved the hot
+    # share past the change threshold and restarted replicas.
+    overstated = scaler.desired_percentages(rates(scaler.interval))
+    assert overstated["hot"] - fleet.groups["hot"].current_pct >= \
+        scaler.change_threshold
+
+
 def test_autoscaler_is_deterministic_across_twin_runs():
     def run_once():
         env, fleet = make_fleet(pct=20, seed=3)
