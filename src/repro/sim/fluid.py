@@ -61,7 +61,9 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.sim.core import Environment, Event, SimulationError, WakeupSlot
+from repro.sim.core import (
+    NORMAL, Environment, Event, SimulationError, WakeupSlot,
+)
 from repro.sim.numerics import KahanSum
 
 __all__ = ["FluidTask", "FluidPool"]
@@ -93,7 +95,8 @@ class FluidTask:
         self._work = float(work)
         # Progress rate while not resident (always 0.0 once evicted).
         self._rate = 0.0
-        #: Fires (with this task) when the work drains.
+        #: Fires (with this task) when the work drains; see
+        #: :class:`FluidPool` for where its callbacks run.
         self.done: Event = Event(env, name="fluid-done")
         self.meta = meta
         self.tid = next(_task_ids)
@@ -157,6 +160,20 @@ def _aseq_key(task: FluidTask) -> int:
 
 class FluidPool:
     """A pool of fluid tasks sharing a resource via an allocator callback.
+
+    Completion delivery: a task's ``done`` fires with the task when its
+    work drains.  When the pool's wakeup drains tasks, the wakeup itself
+    runs their ``done`` callbacks after re-arming the pool, in admission
+    order, so a completion costs no loop event of its own.  Within one
+    wakeup that is the order scheduled ``done`` events would fire in;
+    other events due at the same instant (another pool's wakeup, a
+    timeout or an arrival at that time) run after these callbacks, where
+    they would run before scheduled ``done`` events.  If a callback
+    raises, the wakeup's undelivered completions are scheduled and the
+    error propagates.  A task that drains anywhere else keeps a
+    scheduled ``done``: above all one that drains at admission, inside
+    :meth:`add`, whose launcher attaches callbacks only after ``add``
+    returns (likewise a drain found by ``cancel`` or ``poke``).
 
     Parameters
     ----------
@@ -385,14 +402,18 @@ class FluidPool:
         self._slot_task.pop()
         task._slot = -1
 
-    def _advance(self) -> None:
-        """Apply progress at current rates from the last update until now."""
+    def _advance(self, inline: bool = False) -> Optional[list[FluidTask]]:
+        """Apply progress at current rates from the last update until now.
+
+        Returns the drained tasks (admission order) or ``None``.  Each
+        drained task's ``done`` is scheduled, unless ``inline``: then it
+        is only triggered, and the caller runs its callbacks."""
         now = self.env._now
         dt = now - self._last_update
         self._last_update = now
         n = len(self._slot_task)
         if dt <= 0 or n == 0:
-            return
+            return None
         w = self._w
         r = self._r
         th = self._th
@@ -442,7 +463,12 @@ class FluidPool:
                 self._members_rev += 1
                 if on_change is not None:
                     on_change(task, False)
-                task.done.succeed(task)
+                if inline:
+                    # Triggered now, delivered by the wakeup (_fire).
+                    task.done._value = task
+                else:
+                    task.done.succeed(task)
+        return finished
 
     def _reallocate(self) -> None:
         if not self._tasks:
@@ -530,10 +556,9 @@ class FluidPool:
             self._disarm()
             return
         if self._wake is None:
+            # The closure's name is the wakeup's profiler site.
             def _on_wakeup(_ev: Event) -> None:
-                self._wakeup_pending = False
-                self._advance()
-                self._reallocate()
+                self._fire()
 
             self._wake = WakeupSlot(self.env, _on_wakeup)
         now = self.env._now
@@ -545,6 +570,30 @@ class FluidPool:
             # under half an ulp), so the task drains.
             horizon = math.ulp(now)
         self._arm(horizon)
+
+    def _fire(self) -> None:
+        """The completion wakeup: drain due work, re-arm, then run each
+        drained task's ``done`` callbacks in admission order, with no
+        loop event of their own."""
+        self._wakeup_pending = False
+        finished = self._advance(True)
+        self._reallocate()
+        if finished is None:
+            return
+        pending = iter(finished)
+        try:
+            for task in pending:
+                done = task.done
+                callbacks, done.callbacks = done.callbacks, None
+                for cb in callbacks:
+                    cb(done)
+        except BaseException:
+            # The error ends the loop's run; the completions not yet
+            # delivered wait on the heap, as scheduled ones would.
+            enqueue = self.env._enqueue
+            for task in pending:
+                enqueue(task.done, NORMAL)
+            raise
 
     def _arm(self, delay: float) -> None:
         """(Re-)arm the completion wakeup ``delay`` from now."""

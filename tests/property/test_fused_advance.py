@@ -7,7 +7,9 @@ task and clamps the step only for a task that drains, and
 quotients, leaving starved and invalid rates to the full scan.
 ``LoopAdvancePool`` keeps the former code: a loop that skips
 non-positive rates and clamps every step before subtracting, and a
-horizon behind a ``min(rate) > 0`` pre-scan.
+horizon behind a ``min(rate) > 0`` pre-scan.  It follows the pool's
+completion delivery rule (a wakeup's drains are delivered by the
+wakeup, any other drain schedules its ``done``).
 
 Random schedules of admissions, cancellations, pokes, per-task
 starvation and whole-pool starvation, over a GPU pool and a plain pool
@@ -54,15 +56,15 @@ class LoopAdvancePool(FluidPool):
             self.sub_ulp += 1
         super()._arm(delay)
 
-    def _advance(self):
+    def _advance(self, inline=False):
         n = len(self._slot_task)
         if n >= fluid._VEC_MIN:
-            return super()._advance()  # the vector path is unchanged
+            return super()._advance(inline)  # the vector path is unchanged
         now = self.env._now
         dt = now - self._last_update
         self._last_update = now
         if dt <= 0 or n == 0:
-            return
+            return None
         w = self._w
         r = self._r
         th = self._th
@@ -97,7 +99,13 @@ class LoopAdvancePool(FluidPool):
                 self._members_rev += 1
                 if self.on_change is not None:
                     self.on_change(task, False)
-                task.done.succeed(task)
+                # The pool's delivery rule: a wakeup's drains are
+                # delivered by the wakeup itself, others are scheduled.
+                if inline:
+                    task.done._value = task
+                else:
+                    task.done.succeed(task)
+        return finished
 
     def _reallocate(self):
         if not self._tasks:

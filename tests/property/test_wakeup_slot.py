@@ -5,6 +5,8 @@ it replaced.
 the event heap.  The reference below is the scheme the slot replaced:
 every arming pushes a pooled timeout carrying a generation number, and a
 superseded timeout still pops as an event whose callback only returns.
+A live timeout runs the pool's wakeup body (``FluidPool._fire``), so both
+schemes deliver a wakeup's completions inline.
 Random schedules of admissions, cancellations, pokes and starvation
 toggles, over three pools in one environment (a GPU, its PCIe transfer
 engine and a plain pool whose allocator can starve every task), run
@@ -52,9 +54,9 @@ class HeapWakeupPool(FluidPool):
             if gen != self._gen:
                 self.superseded += 1
                 return
-            self._wakeup_pending = False
-            self._advance()
-            self._reallocate()
+            # The pool's wakeup body: drain, re-arm, deliver the
+            # drained tasks' ``done`` callbacks inline.
+            self._fire()
 
         wakeup.callbacks.append(_on_wakeup)
 

@@ -71,7 +71,9 @@ def test_profiler_attributes_pool_wakeup_slots():
     sites = {r["site"].rsplit(":", 1)[-1]: r for r in prof.report()["sites"]}
     wakeups = sites["FluidPool._schedule_wakeup.<locals>._on_wakeup"]
     assert wakeups["events"] == 3  # one live wakeup per completion
-    assert prof.events == 9  # plus three arrivals and three done events
+    # Plus the three arrivals: each wakeup runs its drained task's
+    # ``done`` callbacks itself, so completions add no loop event.
+    assert prof.events == 6
 
 
 def test_profiler_deterministic_counts():
