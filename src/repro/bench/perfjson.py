@@ -39,8 +39,10 @@ Schema (``repro-bench/10``)::
       "scale": {                      # trace-serving scale scenario
         "scenario": {...},            # fixed fleet topology + load
         "compare_n_requests": int,
-        "streaming": {..., "events_per_sec": float, "rss_growth_kb": int,
-                      "checks": [...]},       # events_per_sec
+        "streaming": {..., "requests_per_sec": float,
+                      "tokens_per_sec": float, "events_per_sec": float,
+                      "rss_growth_kb": int,
+                      "checks": [...]},       # requests_per_sec
         "sharded": {                  # sharded vs single-process engine
           "n_cells": int, "cores": int, "min_cores": int,
           "events_digest": str,       # canonical merged-stream digest

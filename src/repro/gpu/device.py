@@ -36,6 +36,13 @@ compute-bound kernel only demands the bandwidth needed to keep memory off
 its critical path, so leftover bandwidth flows to memory-bound kernels —
 this work-conserving behaviour is exactly why MPS outperforms MIG in the
 paper's 3- and 4-way experiments.
+
+Exactness: the incremental allocator reproduces the full recompute's
+floats exactly (``cross_check`` compares every allocation).  Every float
+sum on both paths is a left-to-right fold (``reduce(add, ..., 0.0)`` or
+a running ``+=``), never the builtin ``sum``, which compensates its
+rounding from Python 3.12 and would then differ from the running sums in
+the last ulp.
 """
 
 from __future__ import annotations
@@ -49,8 +56,6 @@ from functools import reduce
 from operator import add, attrgetter
 from typing import Iterable, Optional
 
-import numpy as np
-
 from repro.sim.core import Environment, Event, SimulationError
 from repro.sim.fluid import FluidPool, FluidTask
 from repro.sim.numerics import KahanSum
@@ -63,14 +68,8 @@ __all__ = ["AllocatorMismatch", "GpuClient", "ShareGroup", "SimulatedGPU"]
 _client_ids = itertools.count()
 _group_ids = itertools.count()
 
-#: Group size at which the allocator's per-group math switches from the
-#: scalar loops to numpy kernels (below it, ufunc dispatch overhead
-#: exceeds the loop cost; the paths are bit-identical either way).
-#: Every float sum on both allocation paths is a left-to-right fold
-#: (``reduce(add, ..., 0.0)``, a running ``+=`` or ``np.add.accumulate``),
-#: never the builtin ``sum``, which compensates its rounding from
-#: Python 3.12 and would then differ from the running sums in the last ulp.
-_VEC_MIN_GROUP = 64
+#: Relative margin of :func:`_fits`.
+_FIT_MARGIN = 1e-9
 
 #: Entry bound of each device's allocation memo (kernel classes, group
 #: columns and bandwidth splits together; ~0.6 KiB each).  A full memo
@@ -264,6 +263,32 @@ class GpuClient:
             raise RuntimeError(f"client {self.name!r} has been closed")
 
 
+class _Columns:
+    """A share group's allocation columns: one allocation-memo entry.
+
+    A pure function of the group's SM budget and its ordered kernel
+    classes (the memo key).  Tuples in residency order: the SM shares,
+    the bandwidth demands (compute-rate-matched) and the kernel
+    constants ``(bytes_moved, flops, flops_per_sm * efficiency)``, with
+    the two subtotals.  ``rmemo`` holds the within-group bandwidth
+    splits keyed by ``(group share, overhead factor)``; it is ``None``
+    for columns a repeated client computed, which bypass the memo.
+    """
+
+    __slots__ = ("sm_list", "sm_sum", "bwd_list", "bw_demand_sum",
+                 "kinfo", "rmemo")
+
+    def __init__(self, sm_list: tuple, sm_sum: float, bwd_list: tuple,
+                 bw_demand_sum: float, kinfo: tuple,
+                 rmemo: Optional[dict]) -> None:
+        self.sm_list = sm_list
+        self.sm_sum = sm_sum
+        self.bwd_list = bwd_list
+        self.bw_demand_sum = bw_demand_sum
+        self.kinfo = kinfo
+        self.rmemo = rmemo
+
+
 class _GroupAllocState:
     """Everything the incremental allocator keeps for one resident group.
 
@@ -275,52 +300,43 @@ class _GroupAllocState:
     """
 
     __slots__ = ("group", "res", "first", "counts", "repeats", "dirty",
-                 "budget", "overhead", "gcap", "gdemand", "sm_list",
-                 "bwd_list", "bw_demand_sum", "share", "bw_list", "sm_sum",
-                 "bw_sum", "demands", "kinfo", "cls", "rmemo")
+                 "budget", "overhead", "gcap", "gdemand", "cols", "share",
+                 "split", "kclass", "cls")
 
     def __init__(self, group: ShareGroup) -> None:
         self.group = group
         # Resident tasks (tid -> task) in admission order, tasks per
-        # client, and clients with more than one: while that is zero the
+        # client (keyed by the client), and clients with more than one: while that is zero the
         # MPS aggregate-cap shrink cannot fire (and the memo applies).
         self.res: dict[int, FluidTask] = {}
         # The group-order key: the pool admission sequence of the
         # earliest resident task (the hook sets it on every change).
         self.first = -1
-        self.counts: dict[int, int] = {}
+        self.counts: dict[GpuClient, int] = {}
         self.repeats = 0
         # Membership changed, or the solo path bypassed the columns.
         self.dirty = False
-        # The SM budget of the cached demands and columns.  A cap-policy
-        # group's is known up front, so the hook classifies its tasks at
-        # admission; a fair-policy group's is set by its recompute.
-        self.budget = float(group.sm_budget) if group.sm_policy == "cap" \
-            else -1.0
+        # Capacity: SM budget, compute overhead factor and bandwidth
+        # cap.  They move only in a full round (a poke or a fair-count
+        # change), which re-derives them (SimulatedGPU._set_capacity),
+        # as the hook does when it creates the record.
+        self.budget = -1.0
         self.overhead = 0.0
-        # Bandwidth cap and cap-limited demand (group-level waterfill).
         self.gcap = 0.0
+        # Cap-limited bandwidth demand (group-level waterfill input).
         self.gdemand = 0.0
-        # Allocation columns: tuples (the memo shares them) in residency
-        # order, so the rates pass needs no per-task dict lookups, and
-        # their subtotals, so a clean group costs O(1) in the totals.
-        self.sm_list: tuple[float, ...] = ()
-        self.bwd_list: tuple[float, ...] = ()
-        self.bw_list: tuple[float, ...] = ()
-        self.bw_demand_sum = 0.0
-        self.sm_sum = 0.0
-        self.bw_sum = 0.0
+        # The columns (a memo entry) and the split last written for
+        # them at group share ``share`` (``None``: columns replaced, so
+        # the rates pass must rerun): ``(bw_list, bw_sum, rates)``.
+        self.cols: Optional[_Columns] = None
         self.share: Optional[float] = None
-        # Per-task caches in residency order: SM demand under ``budget``,
-        # kernel constants, and kernel-class id (the interned pair, so
-        # the ordered ids name the group's contents).
-        self.demands: dict[int, float] = {}
-        self.kinfo: dict[int, tuple] = {}
+        self.split: tuple = ((), 0.0, ())
+        # Per-task classes in residency order, under ``budget``: the
+        # class-cache entry ``(SM demand, kernel constants, class id)``
+        # and the class id alone, so the ordered ids (the memo key)
+        # are one ``values()`` away.
+        self.kclass: dict[int, tuple] = {}
         self.cls: dict[int, int] = {}
-        # The memo entry's bandwidth-split table, keyed by
-        # ``(share, overhead)``; ``None`` when a repeated client bypasses
-        # the memo.
-        self.rmemo: Optional[dict] = None
 
 
 #: Sort key of the group order (see ``_GroupAllocState.first``).
@@ -382,14 +398,15 @@ class SimulatedGPU:
         # records in the full path's group order (that of each group's
         # first resident task, kept by insertion), the dirty records,
         # and the number of fair-policy groups.  A poke bumps the pool
-        # epoch; an epoch or fair-count change makes the next pass
-        # revisit every record.
+        # epoch; a new epoch, or any fair-count change since the last
+        # pass, makes the next pass a full round (every record revisited;
+        # a solo pass defers it).
         self._groups: dict[int, _GroupAllocState] = {}
         self._ordered: list[_GroupAllocState] = []
         self._dirty: list[_GroupAllocState] = []
         self._n_fair = 0
         self._seen_epoch = -1
-        self._seen_n_fair = -1
+        self._fair_moved = False
         # Whether the last pass water-filled the group shares (see the
         # rates pass of _allocate_incremental).
         self._was_contended = True
@@ -473,9 +490,9 @@ class SimulatedGPU:
         return task.done
 
     def _on_complete(self, ev: Event) -> None:
-        if ev.ok:
+        if ev._ok:
             self.kernels_completed += 1
-        if len(self.pool) == 0:
+        if not self.pool._tasks:
             # Allocator will not be called again until new work arrives;
             # close the utilization integral now.
             self._integrate()
@@ -508,13 +525,14 @@ class SimulatedGPU:
         goes: a new group sorts last (its first task is the newest
         admission), a vanished one just leaves, and a surviving group
         that loses its first task is the only record that can move — it
-        is re-inserted by its new key.
+        is re-inserted by its new key.  A cap-policy group's tasks are
+        classified here, from the class cache when it holds the entry.
         """
         client = task.meta["client"]
         group: ShareGroup = client.group
         gid = group.gid
-        cid = id(client)
         st = self._groups.get(gid)
+        tid = task.tid
         if added:
             if st is None:
                 st = self._groups[gid] = _GroupAllocState(group)
@@ -522,28 +540,34 @@ class SimulatedGPU:
                 self._ordered.append(st)
                 if group.sm_policy == "fair":
                     self._n_fair += 1
-            st.res[task.tid] = task
+                    self._fair_moved = True
+                self._set_capacity(st)
+            st.res[tid] = task
             counts = st.counts
-            c = counts[cid] = counts.get(cid, 0) + 1
+            c = counts[client] = counts.get(client, 0) + 1
             if c == 2:
                 st.repeats += 1
             if group.sm_policy == "cap":
-                self._classify(st, task)
+                entry = self._kcache.get(
+                    (task.meta["kernel"].kid, client._sm_cap, st.budget))
+                if entry is None:
+                    self._classify(st, task)
+                else:
+                    st.kclass[tid] = entry
+                    st.cls[tid] = entry[2]
         else:
             res = st.res
-            tid = task.tid
             first = st.first == task._aseq
             del res[tid]
             counts = st.counts
-            c = counts[cid] - 1
+            c = counts[client] - 1
             if c:
-                counts[cid] = c
+                counts[client] = c
                 if c == 1:
                     st.repeats -= 1
             else:
-                del counts[cid]
-            st.demands.pop(tid, None)
-            st.kinfo.pop(tid, None)
+                del counts[client]
+            st.kclass.pop(tid, None)
             st.cls.pop(tid, None)
             if not res:
                 del self._groups[gid]
@@ -552,6 +576,7 @@ class SimulatedGPU:
                     self._dirty.remove(st)
                 if group.sm_policy == "fair":
                     self._n_fair -= 1
+                    self._fair_moved = True
                 return
             if first:
                 st.first = next(iter(res.values()))._aseq
@@ -569,7 +594,8 @@ class SimulatedGPU:
 
         The triple depends only on the kernel (an immutable value named
         by its ``kid``), the client's SM cap and the budget, so it is
-        looked up by those three before it is derived."""
+        looked up by those three in the class cache before it is
+        derived (the membership hook takes a hit itself)."""
         meta = t.meta
         kernel: Kernel = meta["kernel"]
         cap = meta["client"]._sm_cap
@@ -589,8 +615,37 @@ class SimulatedGPU:
             if len(self._kcache) >= _MEMO_MAX:
                 self._kcache.clear()
             entry = self._kcache[ckey] = (demand, ki, c)
-        tid = t.tid
-        st.demands[tid], st.kinfo[tid], st.cls[tid] = entry
+        st.kclass[t.tid] = entry
+        st.cls[t.tid] = entry[2]
+
+    def _capacity(self, group: ShareGroup) -> tuple[float, float, float]:
+        """``(SM budget, overhead factor, bandwidth cap)`` of a resident
+        group: the full path's derivation, at the current fair count."""
+        spec = self.spec
+        cap = group.effective_bw_cap
+        if group.sm_policy == "fair":
+            n_fair = self._n_fair
+            budget = spec.sms / n_fair if n_fair else 0.0
+            cap = min(cap, spec.bandwidth / max(1, n_fair))
+        else:
+            budget = float(group.sm_budget)
+        return budget, group.overhead_factor, cap
+
+    def _set_capacity(self, st: _GroupAllocState) -> bool:
+        """Re-derive ``st``'s capacity fields; returns whether its budget
+        or overhead moved (its columns or rates must then be redone).  A
+        new budget drops the task classes, which depend on it."""
+        budget, overhead, st.gcap = self._capacity(st.group)
+        moved = False
+        if st.budget != budget:
+            st.kclass.clear()
+            st.cls.clear()
+            st.budget = budget
+            moved = True
+        if st.overhead != overhead:
+            st.overhead = overhead
+            moved = True
+        return moved
 
     def _allocate(self, tasks: Iterable[FluidTask]) -> None:
         """FluidPool callback: divide SMs and bandwidth over ``tasks``.
@@ -688,63 +743,52 @@ class SimulatedGPU:
         """Memoised allocation: recompute only dirty groups.
 
         A record is *dirty* when its membership changed since the last
-        pass or the solo path bypassed it; after a poke or a moved fair
-        split every record is revisited and recomputed if its budget or
-        overhead moved.  A split is redone when the group-level
-        waterfill moved the group's share.  Clean groups keep the rates
-        in their tasks' pool slots.  Every reused float is the exact
-        value a full recompute would produce (enforced by
-        ``cross_check`` and the property tests).
+        pass or the solo path bypassed it.  A *full round* (after a poke
+        or a fair-count change) re-derives every record's capacity and
+        recomputes those whose budget or overhead moved; otherwise
+        capacity is as the last full round (or the record's creation)
+        left it.  A split is redone when the group-level waterfill moved
+        the group's share.  Clean groups keep the rates in their tasks'
+        pool slots.  Every reused float is the exact value a full
+        recompute would produce (enforced by ``cross_check`` and the
+        property tests).
         """
-        spec = self.spec
         ordered = self._ordered
         dirty = self._dirty
-
-        n_fair = self._n_fair
-        fair_share = spec.sms / n_fair if n_fair else 0.0
         pool_epoch = self.pool._epoch
-        if pool_epoch != self._seen_epoch or n_fair != self._seen_n_fair:
-            # Every group's budget/cap may have shifted: all are stale.
+        full_round = pool_epoch != self._seen_epoch or self._fair_moved
+        if full_round:
             self._seen_epoch = pool_epoch
-            self._seen_n_fair = n_fair
+            self._fair_moved = False
+            for st in ordered:
+                if self._set_capacity(st) and not st.dirty:
+                    st.dirty = True
+                    dirty.append(st)
             stale = ordered
-            full_round = True
         else:
             stale = dirty  # usually one record
-            full_round = False
 
         memo = self._memo
-        recomputed = 0
         hits = 0
         for st in stale:
-            g = st.group
-            fair = g.sm_policy == "fair"
-            budget = fair_share if fair else float(g.sm_budget)
-            overhead = g.overhead_factor
-            if st.dirty or st.budget != budget or st.overhead != overhead:
-                recomputed += 1
-                # Steady state: same budget, every task classified and
-                # no repeated client, so the memo key is at hand.  Any
-                # other case, or a miss, is _recompute_group's.
+            if st.dirty:
+                # Every task classified and no repeated client: the memo
+                # key is at hand.  Any other case, or a miss, is
+                # _recompute_group's.
                 hit = None
-                if (st.budget == budget and not st.repeats
-                        and len(st.cls) == len(st.res)):
-                    hit = memo.get((budget, *st.cls.values()))
+                if not st.repeats and len(st.cls) == len(st.res):
+                    hit = memo.get((st.budget, *st.cls.values()))
                 if hit is None:
-                    self._recompute_group(st, budget, overhead)
+                    self._recompute_group(st)
                 else:
                     hits += 1
-                    st.overhead = overhead
-                    st.share = None  # membership changed: rerun the rates
-                    (st.sm_list, st.sm_sum, st.bwd_list, st.bw_demand_sum,
-                     st.rmemo) = hit
-            cap = g.bw_cap
-            if cap is None:
-                cap = spec.bandwidth
-            if fair:
-                cap = min(cap, spec.bandwidth / max(1, n_fair))
-            st.gcap = cap
-            st.gdemand = min(st.bw_demand_sum, cap)
+                    st.cols = hit
+                st.share = None  # new columns: the rates pass must rerun
+            # min(demand, cap), inline.
+            gdemand = st.cols.bw_demand_sum
+            gcap = st.gcap
+            st.gdemand = gcap if gcap < gdemand else gdemand
+        recomputed = len(dirty)
         self.alloc_group_recomputes += recomputed
         self.alloc_memo_hits += hits
         self.alloc_group_reuses += len(ordered) - recomputed
@@ -753,22 +797,20 @@ class SimulatedGPU:
         # moves the shared water level.  O(#groups), not O(#tasks).
         # The demand sum accumulates in first-task group order — the
         # same sequence of adds the full path's dict-ordered sum runs.
-        # Uncontended fast path: when the demand sum sits safely below
-        # the budget the waterfill provably hands every group exactly
-        # its (already cap-limited) demand.  "Safely" needs a relative
-        # margin: at the exact boundary the waterfill's running
-        # ``remaining`` subtraction drifts by ulps and the last keys
-        # can receive the drifted remainder instead of their demand.
+        # Uncontended fast path (_fits, inline): when the demand sum
+        # sits safely below the device bandwidth the waterfill provably
+        # hands every group exactly its (already cap-limited) demand.
         demand_sum = 0.0
         for st in ordered:
             demand_sum += st.gdemand
-        contended = not _fits(demand_sum, spec.bandwidth)
+        bandwidth = self.spec.bandwidth
+        contended = not bandwidth - demand_sum > bandwidth * _FIT_MARGIN
         if contended:
             # The waterfill iterates its demand dict; build both inputs
             # in the contract (first-task) order.
             group_share = _waterfill({st: st.gdemand for st in ordered},
                                      {st: st.gcap for st in ordered},
-                                     spec.bandwidth)
+                                     bandwidth)
         else:
             group_share = None
 
@@ -786,21 +828,22 @@ class SimulatedGPU:
         slots = self.pool._r
         for st in visit:
             gs = group_share[st] if group_share is not None else st.gdemand
-            if st.share is not None and st.share == gs:
+            if st.share == gs:
                 continue  # same split as last time: rates already exact
-            overhead = st.group.overhead_factor
-            rmemo = st.rmemo
-            split = rmemo.get((gs, overhead)) if rmemo is not None else None
+            cols = st.cols
+            rmemo = cols.rmemo
+            key = (gs, st.overhead)
+            split = rmemo.get(key) if rmemo is not None else None
             if split is None:
-                split = _group_rates(st, gs, overhead)
+                split = _group_rates(cols, gs, st.overhead)
                 if rmemo is not None:
                     self._memo_room()
-                    rmemo[(gs, overhead)] = split
-            st.bw_list, st.bw_sum, rates = split
+                    rmemo[key] = split
+            st.split = split
             st.share = gs
             # The columns mirror the residency dict, so rates align with
             # its tasks; each lands straight in the task's pool slot.
-            for t, r in zip(st.res.values(), rates):
+            for t, r in zip(st.res.values(), split[2]):
                 slots[t._slot] = r
         for st in dirty:
             st.dirty = False
@@ -812,8 +855,8 @@ class SimulatedGPU:
         total_sm = 0.0
         total_bw = 0.0
         for st in ordered:
-            total_sm += st.sm_sum
-            total_bw += st.bw_sum
+            total_sm += st.cols.sm_sum
+            total_bw += st.split[1]
         self._cur_sm_alloc = total_sm
         self._cur_bw_alloc = total_bw
 
@@ -826,143 +869,95 @@ class SimulatedGPU:
             self._memo_size = 0
         self._memo_size += 1
 
-    def _recompute_group(self, st: _GroupAllocState, budget: float,
-                         overhead: float) -> None:
-        """Full SM/demand recompute for one (dirty) group, in place.
+    def _recompute_group(self, st: _GroupAllocState) -> None:
+        """Full SM/demand recompute of one dirty group's columns, under
+        its budget.
 
-        Per-task demands, kernel constants and class ids persist across
-        recomputes (a budget change clears them), so a membership change
-        costs one pass of float arithmetic over the group at most.
+        Per-task classes persist across recomputes (a budget change
+        clears them), so a membership change costs one pass of float
+        arithmetic over the group at most.
 
         A group with no repeated client first looks its columns up in
         the allocation memo by ``(budget, ordered kernel-class ids)``;
         they are a pure function of exactly those inputs.  Repeated
         clients bypass the memo, since the aggregate-cap shrink depends
-        on client identity.  (The allocation pass takes the steady-state
-        hit itself — same budget, every task classified — and calls
-        this only on a miss or when the key must first be rebuilt.)
+        on client identity.  (The allocation pass takes the hit itself
+        when every task is classified, and calls this only on a miss or
+        when the key must first be completed.)
         """
-        if st.budget != budget:
-            # The cached demands depend on the budget: drop them (the
-            # kernel constants don't, but keeping the dicts in lockstep
-            # keeps the ordered-iteration contract trivial).
-            st.demands.clear()
-            st.kinfo.clear()
-            st.cls.clear()
-            st.budget = budget
-        st.overhead = overhead
-        st.share = None  # membership changed: the rates pass must rerun
-        demands = st.demands
-        kinfo = st.kinfo
-        cls = st.cls
+        budget = st.budget
+        kclass = st.kclass
         group_tasks = st.res.values()
-        if len(demands) != len(group_tasks):
+        if len(kclass) != len(group_tasks):
             # Unclassified tasks (a fair-policy group's admissions since
             # its last recompute, or all after a budget change) are a
-            # suffix of the residency order: the caches stay aligned.
+            # suffix of the residency order: the classes stay aligned.
             for t in group_tasks:
-                if t.tid not in demands:
+                if t.tid not in kclass:
                     self._classify(st, t)
+        work = [d for d, _, _ in kclass.values()]
+        kinfo = tuple([ki for _, ki, _ in kclass.values()])
         no_repeats = st.repeats == 0
         if no_repeats:
-            key = (budget, *cls.values())
+            key = (budget, *st.cls.values())
             hit = self._memo.get(key)
             if hit is not None:
                 self.alloc_memo_hits += 1
-                (st.sm_list, st.sm_sum, st.bwd_list, st.bw_demand_sum,
-                 st.rmemo) = hit
+                st.cols = hit
                 return
             # Every client has at most one resident task here, so each
             # aggregate equals the single demand, which is already
             # capped by ``sm_cap`` — the shrink below cannot fire.
-            work = demands
         else:
             # The MPS percentage caps a *client's aggregate* SM usage,
             # not each kernel: several concurrent streams from one
-            # capped client must share the client's slice.  Shrink a
-            # copy — the cache keeps the pre-shrink demands.
-            work = dict(demands)
-            by_client: dict[int, list[FluidTask]] = {}
-            for t in group_tasks:
-                by_client.setdefault(id(t.meta["client"]), []).append(t)
-            for client_tasks in by_client.values():
-                cap = float(client_tasks[0].meta["client"].sm_cap)
-                subtotal = reduce(add, [work[t.tid] for t in client_tasks],
-                                  0.0)
+            # capped client must share the client's slice.  Shrink the
+            # demand copy — the classes keep the pre-shrink demands.
+            tasks = list(group_tasks)
+            by_client: dict[int, list[int]] = {}
+            for i, t in enumerate(tasks):
+                by_client.setdefault(id(t.meta["client"]), []).append(i)
+            for idx in by_client.values():
+                cap = float(tasks[idx[0]].meta["client"].sm_cap)
+                subtotal = reduce(add, [work[i] for i in idx], 0.0)
                 if subtotal > cap:
                     shrink = cap / subtotal
-                    for t in client_tasks:
-                        work[t.tid] *= shrink
-        n = len(work)
-        if n >= _VEC_MIN_GROUP:
-            # Vectorized tail for large groups.  Sums run through
-            # np.add.accumulate — a strictly sequential left-to-right
-            # sum, so each is the same float as the scalar running sum
-            # (numpy's pairwise np.sum would not be); products and
-            # divisions are elementwise with the scalar path's exact
-            # operand grouping.
-            w = np.fromiter(work.values(), np.float64, n)
-            total = float(np.add.accumulate(w)[-1])
-            scale = min(1.0, budget / total) if total > 0 else 0.0
-            sm = w * scale
-            sm_list = sm.tolist()
-            sm_sum = float(np.add.accumulate(sm)[-1])
-            ki = np.array(list(kinfo.values()), dtype=np.float64)
-            bytes_a = ki[:, 0]
-            flops_a = ki[:, 1]
-            smrate_a = ki[:, 2]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = bytes_a * ((smrate_a * sm) / flops_a)
-            v = np.where(flops_a > 0, v, np.inf)
-            v = np.where(bytes_a == 0, 0.0, v)
-            bwd_list = v.tolist()
-            # Adding the zero entries the scalar loop skips is exact:
-            # x + 0.0 == x for the non-negative accumulator.
-            bsum = float(np.add.accumulate(v)[-1])
-        else:
-            total = reduce(add, work.values(), 0.0)
-            scale = min(1.0, budget / total) if total > 0 else 0.0
-            # One fused pass computes both columns: the SM share and the
-            # bandwidth that keeps memory off the critical path given
-            # that share (compute-rate-matched demand).  The two running
-            # sums are independent accumulators, so interleaving them
-            # preserves each scalar addition sequence exactly.  Skipping
-            # the zero entries in the demand sum is exact: adding 0.0
-            # never changes a non-negative accumulator.  kinfo and work
-            # share insertion order (both track residency), so zipping
-            # keeps the pairing.
-            sm_list = []
-            sm_append = sm_list.append
-            bwd_list = []
-            bwd_append = bwd_list.append
-            sm_sum = 0.0
-            bsum = 0.0
-            inf = float("inf")
-            for d, (bytes_moved, flops, sm_rate) in zip(work.values(),
-                                                        kinfo.values()):
-                smv = d * scale
-                sm_append(smv)
-                sm_sum += smv
-                if bytes_moved == 0:
-                    bwd_append(0.0)
-                    continue
-                if flops > 0:
-                    v = bytes_moved * (sm_rate * smv / flops)
-                else:
-                    v = inf
-                bwd_append(v)
-                bsum += v
-        st.sm_list = tuple(sm_list)
-        st.sm_sum = sm_sum
-        st.bwd_list = tuple(bwd_list)
-        st.bw_demand_sum = bsum
+                    for i in idx:
+                        work[i] *= shrink
+        total = reduce(add, work, 0.0)
+        scale = min(1.0, budget / total) if total > 0 else 0.0
+        # One fused pass computes both columns: the SM share and the
+        # bandwidth that keeps memory off the critical path given that
+        # share (compute-rate-matched demand).  The two running sums
+        # are independent accumulators, so interleaving them preserves
+        # each addition sequence exactly.  Skipping the zero entries in
+        # the demand sum is exact: adding 0.0 never changes a
+        # non-negative accumulator.
+        sm_list = []
+        sm_append = sm_list.append
+        bwd_list = []
+        bwd_append = bwd_list.append
+        sm_sum = 0.0
+        bsum = 0.0
+        inf = float("inf")
+        for d, (bytes_moved, flops, sm_rate) in zip(work, kinfo):
+            smv = d * scale
+            sm_append(smv)
+            sm_sum += smv
+            if bytes_moved == 0:
+                bwd_append(0.0)
+                continue
+            if flops > 0:
+                v = bytes_moved * (sm_rate * smv / flops)
+            else:
+                v = inf
+            bwd_append(v)
+            bsum += v
+        cols = st.cols = _Columns(tuple(sm_list), sm_sum, tuple(bwd_list),
+                                  bsum, kinfo, {} if no_repeats else None)
         if no_repeats:
-            st.rmemo = {}
             self._memo_room()
-            self._memo[key] = (st.sm_list, sm_sum, st.bwd_list, bsum,
-                               st.rmemo)
-        else:
-            st.rmemo = None
+            self._memo[key] = cols
 
     def _compute_full(self, tasks: Iterable[FluidTask]):
         """The original one-shot allocation (reference implementation).
@@ -1072,7 +1067,14 @@ class SimulatedGPU:
         return sm_alloc, bw_alloc, rates, total_sm, total_bw
 
     def _verify_against_full(self, tasks: Iterable[FluidTask]) -> None:
-        """Cross-check: assert the incremental result equals the oracle."""
+        """Cross-check: assert the incremental result equals the oracle.
+
+        The hook-kept indexes are checked first, so a stale one is named
+        as such rather than by the rate it corrupts."""
+        by_group: dict[int, list[FluidTask]] = {}
+        for t in tasks:
+            by_group.setdefault(t.meta["client"].group.gid, []).append(t)
+        self._verify_indexes(by_group)
         sm_alloc, bw_alloc, rates, total_sm, total_bw = \
             self._compute_full(tasks)
         for t in tasks:
@@ -1088,21 +1090,19 @@ class SimulatedGPU:
                 f"sm {self._cur_sm_alloc!r} != {total_sm!r} or "
                 f"bw {self._cur_bw_alloc!r} != {total_bw!r}"
             )
-        by_group: dict[int, list[FluidTask]] = {}
-        for t in tasks:
-            by_group.setdefault(t.meta["client"].group.gid, []).append(t)
-        self._verify_indexes(by_group)
         for st in self._ordered:
             if st.dirty:
                 continue  # solo path wrote the rate; columns are stale
             # Allocation columns are positional in residency order.
+            sm_list = st.cols.sm_list
+            bw_list = st.split[0]
             for i, t in enumerate(st.res.values()):
-                if (st.sm_list[i] != sm_alloc[t.tid]
-                        or st.bw_list[i] != bw_alloc[t.tid]):
+                if (sm_list[i] != sm_alloc[t.tid]
+                        or bw_list[i] != bw_alloc[t.tid]):
                     raise AllocatorMismatch(
                         f"{self.name}: cached allocation mismatch for task "
-                        f"{t.tid}: sm {st.sm_list[i]!r} != "
-                        f"{sm_alloc[t.tid]!r} or bw {st.bw_list[i]!r} != "
+                        f"{t.tid}: sm {sm_list[i]!r} != "
+                        f"{sm_alloc[t.tid]!r} or bw {bw_list[i]!r} != "
                         f"{bw_alloc[t.tid]!r}"
                     )
 
@@ -1124,11 +1124,19 @@ class SimulatedGPU:
         check(sorted(map(id, self._dirty))
               == sorted(id(st) for st in self._ordered if st.dirty),
               "dirty list")
+        # Capacity fields move only in a full round: unless the next
+        # pass is one, each record's must be what the group gives now.
+        if (self.pool._epoch == self._seen_epoch
+                and not self._fair_moved):
+            for st in self._ordered:
+                check((st.budget, st.overhead, st.gcap)
+                      == self._capacity(st.group),
+                      f"capacity of {st.group.name!r}")
         owner: dict[int, tuple] = {}
         for gid, ts in by_group.items():
             st = self._groups[gid]
             tids = [t.tid for t in ts]
-            counts = dict(Counter(id(t.meta["client"]) for t in ts))
+            counts = dict(Counter(t.meta["client"] for t in ts))
             check(list(st.res) == tids and st.counts == counts
                   and st.repeats == sum(c > 1 for c in counts.values())
                   and st.first == ts[0]._aseq,
@@ -1139,8 +1147,7 @@ class SimulatedGPU:
             # never reused, and a class re-interned after a memo clear
             # only gets a newer one.
             n = len(st.cls)
-            check(list(st.cls) == list(st.demands) == list(st.kinfo)
-                  == tids[:n]
+            check(list(st.cls) == list(st.kclass) == tids[:n]
                   and (n == len(ts) or st.group.sm_policy == "fair"),
                   f"classes of {st.group.name!r}")
             for t in ts[:n]:
@@ -1150,7 +1157,7 @@ class SimulatedGPU:
                        (k.bytes_moved, k.flops,
                         self.spec.flops_per_sm * k.efficiency))
                 c = st.cls[t.tid]
-                check((st.demands[t.tid], st.kinfo[t.tid]) == key
+                check(st.kclass[t.tid] == (*key, c)
                       and owner.setdefault(c, key) == key
                       and self._kclass.get(key, c) >= c,
                       f"class of task {t.tid}")
@@ -1161,22 +1168,20 @@ class SimulatedGPU:
                   f"class cache entry {ckey}")
 
 
-def _group_rates(st: _GroupAllocState, gs: float, overhead: float):
+def _group_rates(cols: _Columns, gs: float, overhead: float):
     """Within-group bandwidth split and task rates for group share ``gs``.
 
     Pure: returns ``(bw_list, bw_sum, rates)`` as tuples in group-task
-    order, computed from the group's cached columns only, so the
-    allocation memo can store the result under ``(gs, overhead)``.
+    order, computed from the group's columns only, so the allocation
+    memo can store the result under ``(gs, overhead)``.
     """
-    bwd_list = st.bwd_list
-    if len(bwd_list) >= _VEC_MIN_GROUP:
-        return _group_rates_vec(st, gs, overhead)
+    bwd_list = cols.bwd_list
     # Same fast path as between groups: a demand sum safely below the
     # group share means every task gets its full demand.  (When
     # bandwidth is uncontended gs *equals* the demand sum, so this
     # intentionally falls through to the exact loop — equality is
     # inside the drift margin.)
-    if _fits(st.bw_demand_sum, gs):
+    if _fits(cols.bw_demand_sum, gs):
         bw_list = bwd_list
     else:
         bw_list = _waterfill_uniform_list(bwd_list, gs)
@@ -1184,11 +1189,10 @@ def _group_rates(st: _GroupAllocState, gs: float, overhead: float):
     rates = []
     rates_append = rates.append
     bw_sum = 0.0
-    # kinfo and the allocation columns mirror the residency dict (all
-    # append on admit and evict on departure), so the four sequences
-    # iterate in lockstep — no per-task dict lookups.
+    # The columns all follow the residency order, so the four
+    # sequences iterate in lockstep — no per-task dict lookups.
     for (bytes_moved, flops, sm_rate), smv, bw, bwdv in zip(
-            st.kinfo.values(), st.sm_list, bw_list, bwd_list):
+            cols.kinfo, cols.sm_list, bw_list, bwd_list):
         bw_sum += bw
         rate_c = inf
         if flops > 0:
@@ -1199,38 +1203,6 @@ def _group_rates(st: _GroupAllocState, gs: float, overhead: float):
         rate = rate_c if rate_c < rate_m else rate_m
         rates_append(0.0 if rate == inf else rate)
     return tuple(bw_list), bw_sum, tuple(rates)
-
-
-def _group_rates_vec(st: _GroupAllocState, gs: float, overhead: float):
-    """:func:`_group_rates` vectorized (large groups).
-
-    Bit-identical to the scalar loop: the waterfill's ``remaining``
-    sequence is reproduced with ``np.subtract.accumulate`` (sequential,
-    same order), the rate math is the same elementwise operations with
-    the same operand grouping, and the ``bw_sum`` subtotal accumulates
-    left-to-right via ``np.add.accumulate``.  Only worth the ufunc
-    dispatch overhead above ``_VEC_MIN_GROUP`` resident tasks (e.g. MPS
-    groups with hundreds of streams); small groups take the scalar loop.
-    """
-    bwd = np.asarray(st.bwd_list, dtype=np.float64)
-    if _fits(st.bw_demand_sum, gs):
-        bwa = bwd.copy()
-    else:
-        bwa = _waterfill_uniform_arr(bwd, gs)
-    ki = np.array(list(st.kinfo.values()), dtype=np.float64)
-    bytes_a = ki[:, 0]
-    flops_a = ki[:, 1]
-    smrate_a = ki[:, 2]
-    sm = np.asarray(st.sm_list, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate_c = ((smrate_a * sm) / flops_a) * overhead
-        rate_m = bwa / bytes_a
-    rate_c = np.where(flops_a > 0, rate_c, np.inf)
-    rate_m = np.where((bytes_a > 0) & (bwd > 0), rate_m, np.inf)
-    rate = np.minimum(rate_c, rate_m)
-    rate[np.isinf(rate)] = 0.0
-    bw_sum = float(np.add.accumulate(bwa)[-1]) if len(bwa) else 0.0
-    return tuple(bwa.tolist()), bw_sum, tuple(rate.tolist())
 
 
 def _hierarchical_waterfill(
@@ -1264,45 +1236,13 @@ def _fits(demand_sum: float, total: float) -> bool:
     """True when water-filling ``demand_sum`` into ``total`` provably
     gives every key its full (cap-limited) demand.
 
-    Requires the sum to sit below the budget by a relative margin that
-    dominates the waterfill loop's worst-case ``remaining`` rounding
-    drift (~n ulps, versus the 1e-9 margin here); exactly at the
-    boundary the loop's drifted remainder can differ from the demand
-    in the last ulps, so equality must take the slow exact path.
+    Requires the sum to sit below the budget by a relative margin,
+    ``_FIT_MARGIN``, that dominates the waterfill loop's worst-case
+    ``remaining`` rounding drift (~n ulps); exactly at the boundary the
+    loop's drifted remainder can differ from the demand in the last
+    ulps, so equality must take the slow exact path.
     """
-    return total - demand_sum > total * 1e-9
-
-
-def _waterfill_uniform_arr(demand: "np.ndarray", total: float) -> "np.ndarray":
-    """:func:`_waterfill_uniform` over a demand *array* (large groups).
-
-    Bit-identical: the clamp is an elementwise ``min``, the per-pass
-    share and the all-unsatisfied collapse use the same scalar floats,
-    and the running ``remaining`` is reproduced by a sequential
-    ``np.subtract.accumulate`` over the satisfied demands in index
-    order — the exact subtraction sequence of the scalar loop.
-    """
-    m = np.minimum(demand, total)
-    alloc = np.zeros_like(m)
-    active = m > 0.0
-    remaining = total
-    while remaining > 0.0:
-        nact = int(np.count_nonzero(active))
-        if nact == 0:
-            break
-        share = remaining / nact
-        unsat = active & (m > share)
-        nunsat = int(np.count_nonzero(unsat))
-        if nunsat == nact:
-            alloc[active] = total if total < share else share
-            return alloc
-        sat = active & ~unsat
-        ms = m[sat]
-        alloc[sat] = ms
-        remaining = float(np.subtract.accumulate(
-            np.concatenate(((remaining,), ms)))[-1])
-        active = unsat
-    return alloc
+    return total - demand_sum > total * _FIT_MARGIN
 
 
 def _waterfill_uniform_list(demand: list, total: float) -> list:

@@ -24,32 +24,21 @@ indexed by a per-task *slot* (swap-remove on eviction keeps them
 dense).  ``FluidTask.work`` and ``FluidTask.rate`` are properties over
 the task's slot, so allocators and observers see a plain-attribute
 interface, while an allocator that knows the layout (the GPU device)
-writes rates straight into ``pool._r`` by slot.  The two per-event hot loops — draining progress in
-:meth:`FluidPool._advance` and scanning for the earliest completion in
-:meth:`FluidPool._schedule_wakeup` — are *adaptive*: below
-``_VEC_MIN`` resident tasks they run scalar loops over the slot lists
-(numpy's per-call dispatch overhead exceeds the loop cost for small
-pools), at or above it they run vectorized numpy kernels over ndarray
-mirrors of the lists.  The per-task float math is identical in both
-regimes, so which regime ran is unobservable in any deterministic
-payload:
+writes rates straight into ``pool._r`` by slot.  The two per-event hot
+loops are scalar loops over the slot lists:
 
-- the scalar advance fuses the step into one subtraction, ``work =
-  w - r*dt``, and clamps the drained amount to ``w`` only when the
-  result is at or below the drain threshold; the vector advance takes
-  ``min(r*dt, w)`` first and subtracts it.  If ``r*dt <= w`` both
-  subtract the same product.  If ``r*dt > w`` the scalar difference is
-  negative, so the task drains in both, ending at 0.0 with ``w``
-  drained.  A zero rate subtracts and drains exact zeros, and a
-  negative rate never reaches an advance (arming rejects it);
-- the wakeup horizon is an order-free ``min`` of the same work/rate
-  quotients.  The scalar regime takes it with no pre-scan of the
-  rates: resident work is positive, so a starved task raises
-  ``ZeroDivisionError`` and a negative rate gives a negative minimum,
-  and both fall through to the full scan, which validates the rates
-  and skips starved tasks;
-- the drained amounts are summed left to right in both (the vector
-  path through ``np.add.accumulate``, not pairwise ``np.add.reduce``).
+- :meth:`FluidPool._advance` fuses the step into one subtraction,
+  ``work = w - r*dt``, and clamps the drained amount to ``w`` only when
+  the result is at or below the drain threshold (then the task drains,
+  ending at 0.0 with ``w`` drained).  A zero rate subtracts and drains
+  exact zeros, and a negative rate never reaches an advance (arming
+  rejects it).  The drained amounts are summed left to right;
+- the wakeup horizon is an order-free ``min`` of the work/rate
+  quotients, taken with no pre-scan of the rates: resident work is
+  positive, so a starved task raises ``ZeroDivisionError`` and a
+  negative rate gives a negative minimum, and both fall through to
+  :meth:`FluidPool._schedule_wakeup`'s full scan, which validates the
+  rates and skips starved tasks.
 """
 
 from __future__ import annotations
@@ -58,8 +47,6 @@ import itertools
 import math
 import operator
 from typing import Any, Callable, Optional
-
-import numpy as np
 
 from repro.sim.core import (
     NORMAL, Environment, Event, SimulationError, WakeupSlot,
@@ -70,9 +57,6 @@ __all__ = ["FluidTask", "FluidPool"]
 
 #: Relative tolerance for treating remaining work as drained.
 _EPS = 1e-9
-
-#: Pool size at which the hot loops switch to numpy kernels.
-_VEC_MIN = 64
 
 _task_ids = itertools.count()
 
@@ -119,8 +103,6 @@ class FluidTask:
             self._work = value
         else:
             pool._w[self._slot] = value
-            if pool._w_sync:
-                pool._w_arr[self._slot] = value
 
     @property
     def rate(self) -> float:
@@ -137,8 +119,6 @@ class FluidTask:
             self._rate = value
         else:
             pool._r[self._slot] = value
-            if pool._r_sync:
-                pool._r_arr[self._slot] = value
 
     @property
     def progress(self) -> float:
@@ -215,20 +195,6 @@ class FluidPool:
         self._r: list[float] = []
         self._th: list[float] = []
         self._slot_task: list[FluidTask] = []
-        # Lazily-synced ndarray mirrors of the slot lists for the
-        # vector regime.  The lists stay canonical; each mirror carries
-        # a sync flag — True means its [0:n) prefix matches the list
-        # and is kept current by O(1) element writes in add/_evict_slot
-        # (and in-place updates in the vector _advance), False means it
-        # is bulk-refreshed from the list on next vector use.  This
-        # turns the former per-event ``np.asarray(list)`` rebuilds into
-        # occasional bulk copies plus cheap incremental maintenance.
-        self._w_arr = np.empty(0)
-        self._r_arr = np.empty(0)
-        self._th_arr = np.empty(0)
-        self._w_sync = False
-        self._r_sync = False
-        self._th_sync = False
         # Admission sequence: slot order is scrambled by swap-removes,
         # so batch completions are re-sorted by this before being
         # finalised (completions were and are observable in admission
@@ -278,28 +244,11 @@ class FluidPool:
             task._work = 0.0
             task.done.succeed(task)
             return task
-        slot = task._slot = len(self._slot_task)
+        task._slot = len(self._slot_task)
         self._w.append(task._work)
         self._r.append(0.0)  # no progress until the allocator runs
         self._th.append(task._thresh)
         self._slot_task.append(task)
-        # Extend any in-sync mirror in place; on capacity exhaustion
-        # just mark it stale (the next vector use regrows + refreshes).
-        if self._w_sync:
-            if self._w_arr.size > slot:
-                self._w_arr[slot] = task._work
-            else:
-                self._w_sync = False
-        if self._r_sync:
-            if self._r_arr.size > slot:
-                self._r_arr[slot] = 0.0
-            else:
-                self._r_sync = False
-        if self._th_sync:
-            if self._th_arr.size > slot:
-                self._th_arr[slot] = task._thresh
-            else:
-                self._th_sync = False
         task._aseq = self._aseq
         self._aseq += 1
         task._pool = self
@@ -340,40 +289,6 @@ class FluidPool:
         self._reallocate()
 
     # -- internals ------------------------------------------------------------
-    def _w_view(self) -> np.ndarray:
-        """The [0:n) work prefix as an ndarray, refreshed if stale."""
-        n = len(self._slot_task)
-        arr = self._w_arr
-        if arr.size < n:
-            arr = self._w_arr = np.empty(max(16, 2 * n))
-            self._w_sync = False
-        if not self._w_sync:
-            arr[:n] = self._w
-            self._w_sync = True
-        return arr[:n]
-
-    def _r_view(self) -> np.ndarray:
-        n = len(self._slot_task)
-        arr = self._r_arr
-        if arr.size < n:
-            arr = self._r_arr = np.empty(max(16, 2 * n))
-            self._r_sync = False
-        if not self._r_sync:
-            arr[:n] = self._r
-            self._r_sync = True
-        return arr[:n]
-
-    def _th_view(self) -> np.ndarray:
-        n = len(self._slot_task)
-        arr = self._th_arr
-        if arr.size < n:
-            arr = self._th_arr = np.empty(max(16, 2 * n))
-            self._th_sync = False
-        if not self._th_sync:
-            arr[:n] = self._th
-            self._th_sync = True
-        return arr[:n]
-
     def _evict_slot(self, task: FluidTask) -> None:
         """Swap-remove ``task``'s slot and detach the task from the pool
         (its work is written back; its rate drops to zero)."""
@@ -389,13 +304,6 @@ class FluidPool:
             moved = self._slot_task[last]
             self._slot_task[i] = moved
             moved._slot = i
-            # Mirror the swap into any in-sync array prefix.
-            if self._w_sync:
-                self._w_arr[i] = self._w_arr[last]
-            if self._r_sync:
-                self._r_arr[i] = self._r_arr[last]
-            if self._th_sync:
-                self._th_arr[i] = self._th_arr[last]
         self._w.pop()
         self._r.pop()
         self._th.pop()
@@ -418,40 +326,21 @@ class FluidPool:
         r = self._r
         th = self._th
         finished: Optional[list[FluidTask]] = None
-        if n < _VEC_MIN:
-            drained_total = 0.0
-            for i in range(n):
-                drained = r[i] * dt
-                work = w[i] - drained
-                if work <= th[i]:
-                    # Drained: clamp the step to the work that was left.
-                    if drained > w[i]:
-                        drained = w[i]
-                    work = 0.0
-                    if finished is None:
-                        finished = []
-                    finished.append(self._slot_task[i])
-                w[i] = work
-                drained_total += drained
-            self._work_drained.add(drained_total)
-            self._w_sync = False  # list mutated behind the mirror
-        else:
-            wa = self._w_view()
-            # drained = min(r*dt, w); w -= drained: the same per-task
-            # floats as the scalar loop's fused step (module docstring).
-            drained = self._r_view() * dt
-            np.minimum(drained, wa, out=drained)
-            wa -= drained  # in place: the work mirror stays in sync
-            # Sequential left-to-right sum, as the scalar loop's running
-            # total (np.add.reduce is pairwise and would drift).
-            self._work_drained.add(float(np.add.accumulate(drained)[-1]))
-            done_idx = np.flatnonzero(wa <= self._th_view())
-            w[:] = wa.tolist()
-            if done_idx.size:
-                finished = [self._slot_task[i] for i in done_idx]
-                for i in done_idx.tolist():
-                    w[i] = 0.0
-                    wa[i] = 0.0
+        drained_total = 0.0
+        for i in range(n):
+            drained = r[i] * dt
+            work = w[i] - drained
+            if work <= th[i]:
+                # Drained: clamp the step to the work that was left.
+                if drained > w[i]:
+                    drained = w[i]
+                work = 0.0
+                if finished is None:
+                    finished = []
+                finished.append(self._slot_task[i])
+            w[i] = work
+            drained_total += drained
+        self._work_drained.add(drained_total)
         if finished is not None:
             if len(finished) > 1:
                 finished.sort(key=_aseq_key)  # admission order, as before
@@ -464,7 +353,7 @@ class FluidPool:
                 if on_change is not None:
                     on_change(task, False)
                 if inline:
-                    # Triggered now, delivered by the wakeup (_fire).
+                    # Triggered now, delivered by the wakeup.
                     task.done._value = task
                 else:
                     task.done.succeed(task)
@@ -485,24 +374,20 @@ class FluidPool:
             self._schedule_wakeup()
             return
         self.allocator(self._tasks.values())
-        # The allocator may have written ``_r`` directly, behind the
-        # ndarray mirror.
-        self._r_sync = False
         self._alloc_rev = self._members_rev
         self._alloc_epoch = self._epoch
-        # The common case, armed in this frame: a scalar-regime pool
-        # whose tasks all progress — _schedule_wakeup's first branch,
-        # without its rate pre-scan.  Resident work is positive, so a
-        # starved task raises ZeroDivisionError and a negative rate
-        # gives a negative horizon; both, the vector regime, an
-        # infinite horizon and the first arming (which builds the slot)
-        # take the full scan, which validates and handles starvation.
-        # (A horizon below the clock's resolution fires once without
-        # progress and reaches the full scan that way.)
-        r = self._r
-        if len(r) < _VEC_MIN and self._wake is not None:
+        # The common case, armed in this frame: a pool whose tasks all
+        # progress — _schedule_wakeup's first branch, without its rate
+        # pre-scan.  Resident work is positive, so a starved task
+        # raises ZeroDivisionError and a negative rate gives a negative
+        # horizon; both, an infinite horizon and the first arming
+        # (which builds the slot) take the full scan, which validates
+        # and handles starvation.  (A horizon below the clock's
+        # resolution fires once without progress and reaches the full
+        # scan that way.)
+        if self._wake is not None:
             try:
-                horizon = min(map(operator.truediv, self._w, r))
+                horizon = min(map(operator.truediv, self._w, self._r))
             except ZeroDivisionError:
                 horizon = -1.0
             if 0.0 <= horizon < math.inf:
@@ -512,53 +397,60 @@ class FluidPool:
 
     def _schedule_wakeup(self) -> None:
         """Arm the wakeup for the earliest completion at current rates."""
-        n = len(self._slot_task)
         # The scan doubles as rate validation (the former separate
         # O(#tasks) pass over the allocator's output).
         horizon = math.inf
-        if n < _VEC_MIN:
-            w = self._w
-            r = self._r
-            rmin = min(r)
-            if rmin > 0.0:
-                # Every rate is positive: the horizon is the smallest
-                # work/rate quotient.  ``min`` over a C-level ``map``
-                # compares the same divisions the explicit scan would,
-                # so the chosen float is identical.
-                horizon = min(map(operator.truediv, w, r))
-            elif rmin < 0.0:
-                bad = next(t for t, rate in zip(self._slot_task, r)
-                           if rate < 0)
-                raise SimulationError(
-                    f"allocator produced negative rate for {bad!r}"
-                )
-            else:
-                for i in range(n):
-                    rate = r[i]
-                    if rate > 0:
-                        h = w[i] / rate
-                        if h < horizon:
-                            horizon = h
+        w = self._w
+        r = self._r
+        rmin = min(r)
+        if rmin > 0.0:
+            # Every rate is positive: the horizon is the smallest
+            # work/rate quotient.  ``min`` over a C-level ``map``
+            # compares the same divisions the explicit scan would, so
+            # the chosen float is identical.
+            horizon = min(map(operator.truediv, w, r))
+        elif rmin < 0.0:
+            bad = next(t for t, rate in zip(self._slot_task, r) if rate < 0)
+            raise SimulationError(
+                f"allocator produced negative rate for {bad!r}"
+            )
         else:
-            ra = self._r_view()
-            if float(ra.min()) < 0.0:
-                bad = self._slot_task[int(np.flatnonzero(ra < 0.0)[0])]
-                raise SimulationError(
-                    f"allocator produced negative rate for {bad!r}"
-                )
-            pos = ra > 0.0
-            if pos.any():
-                # min over the same per-task work/rate quotients the
-                # scalar scan compares — order-free, same float.
-                horizon = float(np.min(self._w_view()[pos] / ra[pos]))
+            for i in range(len(r)):
+                rate = r[i]
+                if rate > 0:
+                    h = w[i] / rate
+                    if h < horizon:
+                        horizon = h
         if horizon == math.inf:
             # Every task starved; an external poke must revive them.
             self._disarm()
             return
         if self._wake is None:
-            # The closure's name is the wakeup's profiler site.
+            # The completion wakeup; the closure's name is its profiler
+            # site.  It drains due work, re-arms, then runs each drained
+            # task's ``done`` callbacks in admission order, with no loop
+            # event of their own.
             def _on_wakeup(_ev: Event) -> None:
-                self._fire()
+                self._wakeup_pending = False
+                finished = self._advance(True)
+                self._reallocate()
+                if finished is None:
+                    return
+                pending = iter(finished)
+                try:
+                    for task in pending:
+                        done = task.done
+                        callbacks, done.callbacks = done.callbacks, None
+                        for cb in callbacks:
+                            cb(done)
+                except BaseException:
+                    # The error ends the loop's run; the completions not
+                    # yet delivered wait on the heap, as scheduled ones
+                    # would.
+                    enqueue = self.env._enqueue
+                    for task in pending:
+                        enqueue(task.done, NORMAL)
+                    raise
 
             self._wake = WakeupSlot(self.env, _on_wakeup)
         now = self.env._now
@@ -570,30 +462,6 @@ class FluidPool:
             # under half an ulp), so the task drains.
             horizon = math.ulp(now)
         self._arm(horizon)
-
-    def _fire(self) -> None:
-        """The completion wakeup: drain due work, re-arm, then run each
-        drained task's ``done`` callbacks in admission order, with no
-        loop event of their own."""
-        self._wakeup_pending = False
-        finished = self._advance(True)
-        self._reallocate()
-        if finished is None:
-            return
-        pending = iter(finished)
-        try:
-            for task in pending:
-                done = task.done
-                callbacks, done.callbacks = done.callbacks, None
-                for cb in callbacks:
-                    cb(done)
-        except BaseException:
-            # The error ends the loop's run; the completions not yet
-            # delivered wait on the heap, as scheduled ones would.
-            enqueue = self.env._enqueue
-            for task in pending:
-                enqueue(task.done, NORMAL)
-            raise
 
     def _arm(self, delay: float) -> None:
         """(Re-)arm the completion wakeup ``delay`` from now."""

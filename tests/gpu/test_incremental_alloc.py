@@ -15,12 +15,12 @@ Schedules are randomised over client counts, kernel shapes, and launch
 staggering, across the three sharing topologies (flat MPS, MIG+MPS,
 vGPU fair-share), because the allocator's branches differ per topology:
 MPS exercises the aggregate-cap shrink, MIG the per-group bandwidth
-caps, and vGPU the fair SM policy with an overhead factor.  Small
-schedules never reach the resident counts at which the pool's hot loops
-and the allocator's per-group math switch to numpy, so the ``*_regimes``
-tests replay them with both thresholds forced to each side (see
-``tests/regimes.py``, which also checks the pool's slot layout after
-every reallocation and eviction).
+caps, and vGPU the fair SM policy with an overhead factor.  The
+``*_regimes`` tests replay them under both regimes' checks (see
+``tests/regimes.py``: the pool's slot layout after every reallocation
+and eviction and, in the ``vector`` regime, every advance, column and
+split against its numpy computation), and one flat-MPS run keeps more
+than 100 kernels resident at once.
 
 The allocation memo (group columns looked up by kernel-class signature)
 only hits when group contents recur, which random-float shapes almost
@@ -52,7 +52,7 @@ from repro.gpu.memory import MemoryPool
 from repro.gpu.vgpu import VgpuManager
 from repro.sim import Environment
 from tests.pysum import sum_py312
-from tests.regimes import REGIMES, forced_regime
+from tests.regimes import REGIMES, regime_checks
 
 SPEC = A100_40GB
 
@@ -208,10 +208,10 @@ def test_cancellation_keeps_paths_identical(schedule):
 @settings(max_examples=10, deadline=None)
 def test_incremental_matches_full_recompute_regimes(topology, regime,
                                                      schedule):
-    """Both adaptive regimes: twin runs agree exactly, and the
+    """Under both regimes' checks: twin runs agree exactly, and the
     incremental side passes the cross-check (rates, totals and the
     hook-maintained indexes) after every allocation."""
-    with forced_regime(regime):
+    with regime_checks(regime):
         inc_times, inc_now, _ = _run(topology, schedule, incremental=True)
         full_times, full_now, _ = _run(topology, schedule,
                                        incremental=False)
@@ -222,8 +222,55 @@ def test_incremental_matches_full_recompute_regimes(topology, regime,
 @given(schedule=launch_schedule())
 @settings(max_examples=10, deadline=None)
 def test_cancellation_keeps_paths_identical_regimes(regime, schedule):
-    with forced_regime(regime):
+    with regime_checks(regime):
         assert _cancel_run(schedule, True) == _cancel_run(schedule, False)
+
+
+@regimes
+def test_large_flat_mps_pool_matches_full_recompute(regime):
+    """112 MPS clients keep more than 100 kernels resident in one pool
+    and one share group (the 112-server fleets' regime), some clients
+    with two streams: twin runs agree exactly, and the incremental side
+    passes the cross-check at every allocation."""
+    rng = random.Random(7)
+    shapes = [(rng.choice([5e9, 2e10, 8e10]), rng.choice([0.0, 1e8, 2e9]),
+               rng.choice([14, 40, 108])) for _ in range(160)]
+
+    def run(incremental):
+        env = Environment()
+        gpu = SimulatedGPU(env, SPEC, incremental=incremental,
+                           cross_check=incremental)
+        daemon = MpsControlDaemon(gpu)
+        daemon.start()
+        clients = [daemon.client(f"c{i}", active_thread_percentage=14)
+                   for i in range(112)]
+        finished = []
+
+        def second_streams():
+            yield env.timeout(0.001)
+            assert len(gpu.pool) > 100
+            for i, shape in enumerate(shapes[112:]):
+                launch(clients[i], i + 112, shape)
+
+        def launch(client, i, shape):
+            flops, nbytes, max_sms = shape
+            done = client.launch(Kernel(flops=flops, bytes_moved=nbytes,
+                                        max_sms=max_sms, name=f"k{i}"))
+            done.callbacks.append(
+                lambda ev: finished.append((i, env.now)))
+
+        for i, shape in enumerate(shapes[:112]):
+            launch(clients[i], i, shape)
+        assert len(gpu.pool) == 112
+        env.process(second_streams())
+        env.run()
+        return finished, gpu
+
+    with regime_checks(regime):
+        times, gpu = run(True)
+        full_times, _ = run(False)
+    assert len(times) == len(shapes)
+    assert times == full_times
 
 
 def test_sum_emulation_compensates():
@@ -246,7 +293,7 @@ def _paths_agree_under_sum_py312(topology, regime, schedule):
     """Twin runs with ``sum_py312`` patched into the device module as
     ``sum``; the cross-check guards every allocation on the way."""
     with mock.patch.object(device, "sum", sum_py312, create=True), \
-            forced_regime(regime):
+            regime_checks(regime):
         inc_times, inc_now, _ = _run(topology, schedule, incremental=True)
         full_times, full_now, _ = _run(topology, schedule,
                                        incremental=False)
@@ -255,19 +302,19 @@ def _paths_agree_under_sum_py312(topology, regime, schedule):
 
 #: Schedules on which a compensated ``sum`` in the exact paths made them
 #: diverge from the incremental path's running sums (id: topology,
-#: regime threshold, schedule).
+#: numpy oracle, schedule).
 COMPENSATED_SUM_CASES = {
-    "mig-scalar": ("mig", 10**9, (3, [
+    "mig-scalar": ("mig", False, (3, [
         (2, 0.01, 1e11, 4e9, 60), (2, 0.0, 2e10, 1e8, 14),
         (0, 0.001, 1e11, 1e8, 14), (1, 0.0, 1e11, 4e9, 108),
         (2, 0.0, 5e9, 4e9, 14)])),
-    "mig-vector": ("mig", 1, (3, [
+    "mig-vector": ("mig", True, (3, [
         (1, 0.001, 1e11, 4e9, 14), (1, 0.01, 1e11, 1e8, 60),
         (1, 0.0, 1e11, 4e9, 60)])),
-    "mps-scalar": ("mps", 10**9, (4, [
+    "mps-scalar": ("mps", False, (4, [
         (3, 0.001, 1e11, 4e9, 60), (3, 0.001, 1e11, 1e8, 60),
         (3, 0.01, 5e9, 1e8, 14), (2, 0.001, 5e9, 7e8, 108)])),
-    "mps-vector": ("mps", 1, (2, [
+    "mps-vector": ("mps", True, (2, [
         (1, 0.001, 1e11, 7e8, 40), (1, 0.001, 1e11, 4e9, 108),
         (1, 0.01, 1e11, 7e8, 108), (1, 0.0, 5e9, 7e8, 108)])),
 }
@@ -437,12 +484,12 @@ def test_memo_hits_are_bit_identical(topology, schedule):
     bypassed = []
     recompute = SimulatedGPU._recompute_group
 
-    def spy(self, state, budget, overhead):
+    def spy(self, state):
         hits = self.alloc_memo_hits
-        recompute(self, state, budget, overhead)
+        recompute(self, state)
         if state.repeats:
             bypassed.append(self.alloc_memo_hits == hits
-                            and state.rmemo is None)
+                            and state.cols.rmemo is None)
 
     with mock.patch.object(SimulatedGPU, "_recompute_group", spy):
         times, gpu = _replay(topology, schedule)
@@ -460,8 +507,9 @@ def test_memo_hits_are_bit_identical(topology, schedule):
 @given(schedule=palette_schedule())
 @settings(max_examples=10, deadline=None)
 def test_memo_hits_are_bit_identical_regimes(topology, regime, schedule):
-    """Memo hits replay the columns and splits of either regime."""
-    with forced_regime(regime):
+    """Memo hits replay columns and splits that equal their numpy
+    computation (``vector``) under the slot checks of both regimes."""
+    with regime_checks(regime):
         times, gpu = _replay(topology, schedule)
         full_times, _ = _replay(topology, schedule, incremental=False)
     assert gpu.alloc_memo_hits > 0
@@ -594,25 +642,28 @@ def test_class_cache_matches_full_recompute(scenario, regime):
                for i, (f, b, m) in enumerate(SHAPES)]
     hits = []
     uncached = [False]
-    classify = SimulatedGPU._classify
 
-    def spy(self, st, t):
-        if uncached[0]:
-            self._kcache.clear()
-        hits.append((t.meta["kernel"].kid, t.meta["client"].sm_cap,
-                     st.budget) in self._kcache)
-        classify(self, st, t)
+    class SpyCache(dict):
+        """The class cache, logging every lookup (the membership hook
+        and ``_classify`` both look entries up through ``get``); when
+        ``uncached``, empty before every lookup."""
+
+        def get(self, key, default=None):
+            if uncached[0]:
+                self.clear()
+            hits.append(key in self)
+            return super().get(key, default)
 
     def run(incremental):
         env = Environment()
         gpu = SimulatedGPU(env, SPEC, incremental=incremental,
                            cross_check=incremental)
+        gpu._kcache = SpyCache()
         times = CACHE_SCENARIOS[scenario](env, gpu, kernels)
         return times, (gpu.alloc_group_recomputes, gpu.alloc_memo_hits,
                        gpu.alloc_group_reuses)
 
-    with forced_regime(regime), \
-            mock.patch.object(SimulatedGPU, "_classify", spy):
+    with regime_checks(regime):
         times, counters = run(True)
         assert any(hits)
         full_times, _ = run(False)

@@ -1,8 +1,8 @@
 """Property tests: the fused advance and the scan-free horizon give the
 floats of the loop and the horizon they replaced.
 
-In the scalar regime ``FluidPool._advance`` takes one subtraction per
-task and clamps the step only for a task that drains, and
+``FluidPool._advance`` takes one subtraction per task and clamps the
+step only for a task that drains, and
 ``_reallocate`` takes the horizon straight from the work/rate
 quotients, leaving starved and invalid rates to the full scan.
 ``LoopAdvancePool`` keeps the former code: a loop that skips
@@ -13,8 +13,9 @@ wakeup, any other drain schedules its ``done``).
 
 Random schedules of admissions, cancellations, pokes, per-task
 starvation and whole-pool starvation, over a GPU pool and a plain pool
-in one environment, run once with each pool class in both adaptive
-regimes (``tests/regimes.py``).  The runs must agree exactly on every
+in one environment, run once with each pool class under both regimes'
+checks (``tests/regimes.py``; the ``vector`` one also checks the pool's
+advances against numpy).  The runs must agree exactly on every
 task's work and rate after every event, on completion times and order,
 on ``work_drained`` and on the event count.
 """
@@ -30,8 +31,8 @@ from hypothesis import strategies as st
 from repro.gpu import A100_40GB, Kernel, MpsControlDaemon, SimulatedGPU
 from repro.gpu import device as gpu_device
 from repro.profile import EventLoopProfiler
-from repro.sim import Environment, FluidPool, FluidTask, fluid
-from tests.regimes import REGIMES, forced_regime
+from repro.sim import Environment, FluidPool, FluidTask
+from tests.regimes import REGIMES, regime_checks
 
 #: The rate of the task that drains below the clock's resolution at
 #: t = 1.5 (tests/sim/test_fluid.py::
@@ -58,8 +59,6 @@ class LoopAdvancePool(FluidPool):
 
     def _advance(self, inline=False):
         n = len(self._slot_task)
-        if n >= fluid._VEC_MIN:
-            return super()._advance(inline)  # the vector path is unchanged
         now = self.env._now
         dt = now - self._last_update
         self._last_update = now
@@ -89,7 +88,6 @@ class LoopAdvancePool(FluidPool):
                 finished.append(self._slot_task[i])
             w[i] = work
         self._work_drained.add(drained_total)
-        self._w_sync = False
         if finished is not None:
             finished.sort(key=operator.attrgetter("_aseq"))
             for task in finished:
@@ -119,12 +117,10 @@ class LoopAdvancePool(FluidPool):
             self._schedule_wakeup()
             return
         self.allocator(self._tasks.values())
-        self._r_sync = False
         self._alloc_rev = self._members_rev
         self._alloc_epoch = self._epoch
         r = self._r
-        if (len(r) < fluid._VEC_MIN and self._wake is not None
-                and min(r) > 0.0):
+        if self._wake is not None and min(r) > 0.0:
             horizon = min(map(operator.truediv, self._w, r))
             if horizon < math.inf:
                 self._arm(max(horizon, 0.0))
@@ -252,7 +248,7 @@ def _play(schedule, pool_cls):
 
 
 def _compare(schedule, regime):
-    with forced_regime(regime):
+    with regime_checks(regime):
         got, _ = _play(schedule, FluidPool)
         want, refs = _play(schedule, LoopAdvancePool)
     assert got[0] == want[0]
@@ -272,9 +268,8 @@ def test_fused_advance_matches_loop(schedule, regime):
 
 
 def test_reference_takes_every_branch():
-    """A fixed schedule in the scalar regime reaches clamped
-    completions and zero-rate tasks in the reference, and both runs
-    drain the sub-ulp task."""
+    """A fixed schedule reaches clamped completions and zero-rate tasks
+    in the reference, and both runs drain the sub-ulp task."""
     schedule = [
         (0.0, ("plain", 0.01, 1.0)),
         (0.0, ("plain", 0.03, 3.0)),
@@ -286,6 +281,6 @@ def test_reference_takes_every_branch():
         (0.002, ("starve", False)),
         (0.001, ("cancel", "plain", 0)),
     ]
-    gpu_pool, plain = _compare(schedule, 10**9)
+    gpu_pool, plain = _compare(schedule, False)
     assert gpu_pool.clamps + plain.clamps > 0 and plain.skips > 0
     assert plain.sub_ulp > 0

@@ -5,8 +5,8 @@ it replaced.
 the event heap.  The reference below is the scheme the slot replaced:
 every arming pushes a pooled timeout carrying a generation number, and a
 superseded timeout still pops as an event whose callback only returns.
-A live timeout runs the pool's wakeup body (``FluidPool._fire``), so both
-schemes deliver a wakeup's completions inline.
+A live timeout runs the pool's wakeup body (the slot's ``_on_wakeup``
+closure), so both schemes deliver a wakeup's completions inline.
 Random schedules of admissions, cancellations, pokes and starvation
 toggles, over three pools in one environment (a GPU, its PCIe transfer
 engine and a plain pool whose allocator can starve every task), run
@@ -50,13 +50,16 @@ class HeapWakeupPool(FluidPool):
         wakeup = self.env.timeout_pooled(delay)
         self._wakeup_pending = True
 
-        def _on_wakeup(_ev) -> None:
+        # The pool's wakeup body (drain, re-arm, deliver the drained
+        # tasks' ``done`` callbacks inline): the slot's callback, which
+        # every arming finds built.
+        body = self._wake._callbacks[0]
+
+        def _on_wakeup(ev) -> None:
             if gen != self._gen:
                 self.superseded += 1
                 return
-            # The pool's wakeup body: drain, re-arm, deliver the
-            # drained tasks' ``done`` callbacks inline.
-            self._fire()
+            body(ev)
 
         wakeup.callbacks.append(_on_wakeup)
 

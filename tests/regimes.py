@@ -1,30 +1,43 @@
-"""Force the simulator's adaptive regimes and check pool slot invariants.
+"""Check the fluid pool's slot layout and wakeup horizon as it runs, and
+in the ``vector`` regime its floats against the numpy formulation.
 
-The fluid pool's hot loops (``fluid._VEC_MIN``) and the allocator's
-per-group math (``device._VEC_MIN_GROUP``) switch between scalar loops
-and numpy kernels at a resident-count threshold that small test
-scenarios never reach.  :func:`forced_regime` sets both thresholds to
-one value — ``1`` (always vector) or ``10**9`` (always scalar) — and
-checks the slot layout after every reallocation and eviction:
+The fluid pool and the allocator have one scalar path.  They used to
+switch to numpy kernels at a resident-count threshold; the regime ids
+stay, and the ``vector`` regime now checks the scalar floats against
+that numpy formulation, a test-only oracle.  :func:`regime_checks` runs
+a block with these checks:
 
-- each resident task sits in its slot (``pool._slot_task[t._slot] is
-  t``) and its ``rate``/``work`` read that slot;
-- every ndarray mirror flagged in sync equals its list;
-- after a reallocation, the completion wakeup is armed exactly at the
-  earliest completion, ``now + min(work / rate)`` over the tasks that
-  progress, or disarmed when none does (:func:`check_horizon`).
+- in both regimes, after every reallocation and eviction, each
+  resident task sits in its slot (``pool._slot_task[t._slot] is t``)
+  and its ``rate``/``work`` read that slot; after a reallocation, the
+  completion wakeup is armed exactly at the earliest completion, ``now
+  + min(work / rate)`` over the tasks that progress, or disarmed when
+  none does (:func:`check_horizon`);
+- in the ``vector`` regime also: every advance leaves each task the
+  work ``w - min(r*dt, w)`` (zero once at or below its drain
+  threshold), drains exactly the tasks numpy finds at or below it, and
+  adds the left-to-right ``np.add.accumulate`` of the drained amounts
+  to ``work_drained``; every horizon equals the numpy minimum; and
+  every group's allocation columns and every within-group split equal
+  their numpy computation (sums through ``np.add.accumulate``, the
+  waterfill's running ``remaining`` through ``np.subtract.accumulate``).
 """
 
 import math
 from contextlib import contextmanager
+from functools import reduce
+from operator import add
 from unittest import mock
 
-from repro.gpu import device
-from repro.sim import fluid
-from repro.sim.fluid import FluidPool
+import numpy as np
 
-#: ``(id, threshold)``: always-vector and always-scalar.
-REGIMES = [("vector", 1), ("scalar", 10**9)]
+from repro.gpu import device
+from repro.gpu.device import SimulatedGPU
+from repro.sim.fluid import FluidPool
+from repro.sim.numerics import KahanSum
+
+#: ``(id, numpy oracle)``: the numpy-checked and the plain regime.
+REGIMES = [("vector", True), ("scalar", False)]
 
 
 def check_slots(pool: FluidPool) -> None:
@@ -34,27 +47,28 @@ def check_slots(pool: FluidPool) -> None:
     for i, t in enumerate(pool._slot_task):
         assert t._slot == i and t._pool is pool
         assert t.rate == pool._r[i] and t.work == pool._w[i]
-    for flag, arr, values in ((pool._w_sync, pool._w_arr, pool._w),
-                              (pool._r_sync, pool._r_arr, pool._r),
-                              (pool._th_sync, pool._th_arr, pool._th)):
-        if flag:
-            assert arr[:n].tolist() == values
 
 
-def check_horizon(pool: FluidPool, in_frame: bool) -> None:
+def check_horizon(pool: FluidPool, in_frame: bool,
+                  numpy_oracle: bool = False) -> None:
     """Assert ``pool``'s wakeup is armed at its earliest completion.
 
     The horizon is ``min(work / rate)`` over the tasks with a positive
     rate; when ``now`` plus it rounds to ``now``, the full scan wakes
     one clock ulp later instead, while the arming in ``_reallocate``'s
-    frame (``in_frame``: the scalar regime, a slot built before and
-    every rate positive) arms it as computed and reaches the full scan
-    when it fires.  With no positive rate the slot must be disarmed."""
+    frame (``in_frame``: a slot built before and every rate positive)
+    arms it as computed and reaches the full scan when it fires.  With
+    no positive rate the slot must be disarmed."""
     env = pool.env
     key = env._timers.get(pool._wake) if pool._wake is not None else None
     assert (key is not None) == pool._wakeup_pending
     horizon = min((w / r for w, r in zip(pool._w, pool._r) if r > 0.0),
                   default=math.inf)
+    if numpy_oracle and horizon < math.inf:
+        wa = np.array(pool._w)
+        ra = np.array(pool._r)
+        pos = ra > 0.0
+        assert float(np.min(wa[pos] / ra[pos])) == horizon
     if horizon == math.inf:
         assert key is None
         return
@@ -65,13 +79,113 @@ def check_horizon(pool: FluidPool, in_frame: bool) -> None:
     assert key is not None and key[0] == due
 
 
+def _advance_oracle(pool: FluidPool, advance, inline: bool):
+    """Run ``advance`` and check its floats against numpy."""
+    dt = pool.env._now - pool._last_update
+    tasks = list(pool._slot_task)
+    if dt <= 0 or not tasks:
+        return advance(pool, inline)
+    w = np.array(pool._w)
+    drained = np.minimum(np.array(pool._r) * dt, w)
+    left = w - drained
+    done = left <= np.array(pool._th)
+    left[done] = 0.0
+    acc = pool._work_drained
+    want = KahanSum(acc.value)
+    want._comp = acc._comp
+    want.add(float(np.add.accumulate(drained)[-1]))
+    finished = advance(pool, inline)
+    drained_tasks = sorted((t for t, d in zip(tasks, done.tolist()) if d),
+                           key=lambda t: t._aseq)
+    assert (finished or []) == drained_tasks
+    assert [t.work for t in tasks] == left.tolist()
+    assert (acc.value, acc._comp) == (want.value, want._comp)
+    return finished
+
+
+def _columns_np(st) -> tuple:
+    """A group's allocation columns, by numpy, from its classes."""
+    work = [d for d, _, _ in st.kclass.values()]
+    if st.repeats:
+        tasks = list(st.res.values())
+        by_client = {}
+        for i, t in enumerate(tasks):
+            by_client.setdefault(id(t.meta["client"]), []).append(i)
+        for idx in by_client.values():
+            cap = float(tasks[idx[0]].meta["client"].sm_cap)
+            subtotal = reduce(add, [work[i] for i in idx], 0.0)
+            if subtotal > cap:
+                for i in idx:
+                    work[i] *= cap / subtotal
+    w = np.array(work)
+    total = float(np.add.accumulate(w)[-1])
+    scale = min(1.0, st.budget / total) if total > 0 else 0.0
+    sm = w * scale
+    ki = np.array([k for _, k, _ in st.kclass.values()], dtype=np.float64)
+    bytes_a, flops_a, smrate_a = ki[:, 0], ki[:, 1], ki[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = bytes_a * ((smrate_a * sm) / flops_a)
+    v = np.where(flops_a > 0, v, np.inf)
+    v = np.where(bytes_a == 0, 0.0, v)
+    return (tuple(sm.tolist()), float(np.add.accumulate(sm)[-1]),
+            tuple(v.tolist()), float(np.add.accumulate(v)[-1]))
+
+
+def _waterfill_uniform_np(demand: np.ndarray, total: float) -> np.ndarray:
+    """``device._waterfill_uniform_list`` over a demand array."""
+    m = np.minimum(demand, total)
+    alloc = np.zeros_like(m)
+    active = m > 0.0
+    remaining = total
+    while remaining > 0.0:
+        nact = int(np.count_nonzero(active))
+        if nact == 0:
+            break
+        share = remaining / nact
+        unsat = active & (m > share)
+        if int(np.count_nonzero(unsat)) == nact:
+            alloc[active] = total if total < share else share
+            return alloc
+        sat = active & ~unsat
+        alloc[sat] = m[sat]
+        remaining = float(np.subtract.accumulate(
+            np.concatenate(((remaining,), m[sat])))[-1])
+        active = unsat
+    return alloc
+
+
+def _group_rates_np(cols, gs: float, overhead: float) -> tuple:
+    """``device._group_rates`` by numpy."""
+    bwd = np.asarray(cols.bwd_list, dtype=np.float64)
+    if device._fits(cols.bw_demand_sum, gs):
+        bwa = bwd.copy()
+    else:
+        bwa = _waterfill_uniform_np(bwd, gs)
+    ki = np.array(cols.kinfo, dtype=np.float64)
+    bytes_a, flops_a, smrate_a = ki[:, 0], ki[:, 1], ki[:, 2]
+    sm = np.asarray(cols.sm_list, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate_c = ((smrate_a * sm) / flops_a) * overhead
+        rate_m = bwa / bytes_a
+    rate_c = np.where(flops_a > 0, rate_c, np.inf)
+    rate_m = np.where((bytes_a > 0) & (bwd > 0), rate_m, np.inf)
+    rate = np.minimum(rate_c, rate_m)
+    rate[np.isinf(rate)] = 0.0
+    return (tuple(bwa.tolist()), float(np.add.accumulate(bwa)[-1]),
+            tuple(rate.tolist()))
+
+
 @contextmanager
-def forced_regime(threshold: int):
-    """Run the block with both adaptive thresholds at ``threshold``,
-    :func:`check_slots` after every reallocation and eviction, and
-    :func:`check_horizon` after every reallocation."""
+def regime_checks(numpy_oracle: bool):
+    """Run the block with :func:`check_slots` after every reallocation
+    and eviction and :func:`check_horizon` after every reallocation;
+    with ``numpy_oracle`` (the ``vector`` regime), also check every
+    advance, column and split against numpy."""
     reallocate = FluidPool._reallocate
     evict = FluidPool._evict_slot
+    advance = FluidPool._advance
+    recompute = SimulatedGPU._recompute_group
+    group_rates = device._group_rates
 
     def checked_reallocate(pool):
         # Only a fresh allocation arms in _reallocate's frame.
@@ -83,17 +197,42 @@ def forced_regime(threshold: int):
         for t in pool._tasks.values():
             assert pool._slot_task[t._slot] is t
         check_slots(pool)
-        r = pool._r
-        check_horizon(pool, fresh and built and len(r) < threshold
-                      and min(r, default=0.0) > 0.0)
+        check_horizon(pool, fresh and built
+                      and min(pool._r, default=0.0) > 0.0, numpy_oracle)
 
     def checked_evict(pool, task):
         evict(pool, task)
         assert task._pool is None and task.rate == 0.0
         check_slots(pool)
 
-    with mock.patch.object(fluid, "_VEC_MIN", threshold), \
-            mock.patch.object(device, "_VEC_MIN_GROUP", threshold), \
-            mock.patch.object(FluidPool, "_reallocate", checked_reallocate), \
-            mock.patch.object(FluidPool, "_evict_slot", checked_evict):
+    def checked_advance(pool, inline=False):
+        return _advance_oracle(pool, advance, inline)
+
+    def checked_recompute(gpu, st):
+        recompute(gpu, st)
+        cols = st.cols
+        assert (cols.sm_list, cols.sm_sum, cols.bwd_list,
+                cols.bw_demand_sum) == _columns_np(st)
+
+    def checked_group_rates(cols, gs, overhead):
+        split = group_rates(cols, gs, overhead)
+        assert split == _group_rates_np(cols, gs, overhead)
+        return split
+
+    patches = [mock.patch.object(FluidPool, "_reallocate",
+                                 checked_reallocate),
+               mock.patch.object(FluidPool, "_evict_slot", checked_evict)]
+    if numpy_oracle:
+        patches += [
+            mock.patch.object(FluidPool, "_advance", checked_advance),
+            mock.patch.object(SimulatedGPU, "_recompute_group",
+                              checked_recompute),
+            mock.patch.object(device, "_group_rates", checked_group_rates),
+        ]
+    for patch in patches:
+        patch.start()
+    try:
         yield
+    finally:
+        for patch in reversed(patches):
+            patch.stop()

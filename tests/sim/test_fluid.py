@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.sim import Environment, FluidPool, FluidTask, SimulationError
-from tests.regimes import REGIMES, forced_regime
+from tests.regimes import REGIMES, regime_checks
 
 
 def equal_share_allocator(capacity):
@@ -392,7 +392,7 @@ def test_all_zero_rates_disarm_the_wakeup():
     assert [t.work for t in tasks] == [9.0, 8.0, 6.0]
 
 
-#: Every pool test above, re-run in both adaptive regimes.
+#: Every pool test above, re-run under both regimes' checks.
 POOL_TESTS = [f for name, f in sorted(globals().items())
               if name.startswith("test_") and callable(f)]
 
@@ -401,8 +401,8 @@ POOL_TESTS = [f for name, f in sorted(globals().items())
                          ids=[i for i, _ in REGIMES])
 @pytest.mark.parametrize("case", POOL_TESTS, ids=lambda f: f.__name__)
 def test_pool_in_both_regimes(case, regime):
-    """The hot loops' scalar and vector paths pass the same tests, and
-    the slot layout (rates, work, ndarray mirrors) holds after every
-    reallocation and eviction."""
-    with forced_regime(regime):
+    """The slot layout and the armed horizon hold after every
+    reallocation and eviction; in the ``vector`` regime every advance
+    and horizon also equals its numpy computation (tests/regimes.py)."""
+    with regime_checks(regime):
         case()

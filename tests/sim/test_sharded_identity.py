@@ -139,7 +139,8 @@ def test_one_cell_matches_legacy_scale_engine():
 
     legacy = trace_serving_scale(SCALE_REQUESTS, seed=3, isolate=False)
     # Wall clock and RSS are measurements of the run, not of the model.
-    for key in ("wall_seconds", "events_per_sec", "rss_growth_kb"):
+    for key in ("wall_seconds", "requests_per_sec", "tokens_per_sec",
+                "events_per_sec", "rss_growth_kb"):
         legacy.pop(key)
     sharded = sharded_scale_report(1, 1, SCALE_REQUESTS, seed=3,
                                    use_processes=False)

@@ -110,7 +110,7 @@ QUICK_BENCH_CHECKS = {
     *(f"sweeps.{sweep}.{name}"
       for sweep in ("fig2_sm_sweep", "fig4_fig5_sweep")
       for name in ("configs", "cache_hit_rate", "warm_seconds")),
-    "scale.streaming.events_per_sec",
+    "scale.streaming.requests_per_sec",
     "scale.sharded.identical", "scale.sharded.speedup",
     "scale.sharded.worker_respawns",
     "resilience.lost", "resilience.goodput_rps",

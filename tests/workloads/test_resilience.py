@@ -470,6 +470,28 @@ def test_fleet_straggler_device_restores_overhead():
     assert [g.overhead_factor for g in groups] == before
 
 
+@pytest.mark.parametrize("mode", ["mps", "mig-mps"])
+def test_fleet_straggler_device_under_load_is_cross_checked(monkeypatch,
+                                                           mode):
+    """A device straggler changes a group's overhead factor while its
+    kernels are resident, and its restore changes it back; under the
+    allocator cross-check every allocation after either poke must see
+    the new factor (the pass re-derives capacity only in a full round,
+    and a stale overhead raises ``AllocatorMismatch``)."""
+    monkeypatch.setenv("REPRO_ALLOC_CHECK", "1")
+    env = Environment()
+    fleet = small_fleet(env, mode=mode)
+    assert fleet.device.cross_check
+    requests = [fleet.submit(n_tokens=16) for _ in range(8)]
+    env.run(until=env.now + 0.05)
+    resident = len(fleet.device.pool)
+    fleet.apply_fault(FaultEvent(time=env.now, kind="straggler_device",
+                                 target=0, duration=0.2, factor=2.0))
+    env.run()
+    assert resident >= 2
+    assert all(r.outcome == "ok" for r in requests)
+
+
 def test_fleet_stall_and_launch_failure_descriptions():
     env = Environment()
     fleet = small_fleet(env)
