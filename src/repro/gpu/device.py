@@ -37,6 +37,16 @@ its critical path, so leftover bandwidth flows to memory-bound kernels —
 this work-conserving behaviour is exactly why MPS outperforms MIG in the
 paper's 3- and 4-way experiments.
 
+Fluid domains: the kernels of each MIG instance form a domain of their
+own in the device's fluid pool (:mod:`repro.sim.fluid`), and every
+other group shares one device domain.  An admission or a completion
+advances and reallocates its own domain only, and the allocator divides
+SMs and bandwidth over that domain's residents.  MIG's slice accounting
+keeps the instances' bandwidth caps within the device bandwidth, so no
+shared water level couples them: each domain's water-fill against the
+device bandwidth gives every instance its cap-limited demand, as one
+device-wide water-fill would.
+
 Exactness: the incremental allocator reproduces the full recompute's
 floats exactly (``cross_check`` compares every allocation).  Every float
 sum on both paths is a left-to-right fold (``reduce(add, ..., 0.0)`` or
@@ -105,6 +115,10 @@ class ShareGroup:
     #: Stable identity for cross-call allocator caching (``id()`` can be
     #: recycled after a group is garbage-collected; this cannot).
     gid: int = field(default_factory=lambda: next(_group_ids), init=False)
+    #: Fluid-domain key of the group's kernels: ``None`` (the device
+    #: domain) or, for a hardware-isolated slice, the group's ``gid``
+    #: (set by :meth:`SimulatedGPU.add_group`).
+    fluid_domain: Optional[int] = field(default=None, init=False)
     # -- temporal-discipline state --
     _queues: dict | None = None        # client id -> deque of tasks
     _rr: "deque | None" = None         # round-robin of client ids with work
@@ -299,12 +313,14 @@ class _GroupAllocState:
     because it *is* that value — the cache memoises, never delta-updates.
     """
 
-    __slots__ = ("group", "res", "first", "counts", "repeats", "dirty",
-                 "budget", "overhead", "gcap", "gdemand", "cols", "share",
-                 "split", "kclass", "cls")
+    __slots__ = ("group", "dom", "res", "first", "counts", "repeats",
+                 "dirty", "budget", "overhead", "gcap", "gdemand", "cols",
+                 "share", "split", "kclass", "cls")
 
-    def __init__(self, group: ShareGroup) -> None:
+    def __init__(self, group: ShareGroup, dom: "_AllocDomain") -> None:
         self.group = group
+        # The group's fluid domain.
+        self.dom = dom
         # Resident tasks (tid -> task) in admission order, tasks per
         # client (keyed by the client), and clients with more than one: while that is zero the
         # MPS aggregate-cap shrink cannot fire (and the memo applies).
@@ -339,12 +355,52 @@ class _GroupAllocState:
         self.cls: dict[int, int] = {}
 
 
+class _AllocDomain:
+    """The allocator's state for one fluid domain of the device.
+
+    The membership hook keeps (incremental mode only) the domain's
+    records in the full path's group order (that of each group's first
+    resident task, kept by insertion), its dirty records and its number
+    of fair-policy groups.  A poke bumps the pool epoch; a new epoch, or
+    a fair-count change since the domain's last pass, makes its next
+    pass a full round (every record revisited; a solo pass defers it).
+    Both paths keep the domain's allocation totals and integrate them
+    over time (compensated sums: at millions of kernel events the naive
+    float accumulation drifts enough to fail conservation checks).
+    """
+
+    __slots__ = ("fluid", "ordered", "dirty", "n_fair", "seen_epoch",
+                 "fair_moved", "was_contended", "cur_sm", "cur_bw", "t0",
+                 "sm_seconds", "bw_byte_seconds")
+
+    def __init__(self, fluid, now: float) -> None:
+        # The pool's domain: its residents and rate slots.
+        self.fluid = fluid
+        self.ordered: list[_GroupAllocState] = []
+        self.dirty: list[_GroupAllocState] = []
+        self.n_fair = 0
+        self.seen_epoch = -1
+        self.fair_moved = False
+        # Whether the last pass water-filled the group shares (see the
+        # rates pass of _allocate_incremental).
+        self.was_contended = True
+        self.cur_sm = 0.0
+        self.cur_bw = 0.0
+        self.t0 = now
+        self.sm_seconds = KahanSum()
+        self.bw_byte_seconds = KahanSum()
+
+
 #: Sort key of the group order (see ``_GroupAllocState.first``).
 _first_admission = attrgetter("first")
 
 
 class SimulatedGPU:
     """One simulated GPU device.
+
+    ``pool`` is the one fluid pool of every kernel on the device; its
+    allocator and membership hook serve each of its domains (see the
+    module docstring), and its length counts the residents of all.
 
     Parameters
     ----------
@@ -380,36 +436,19 @@ class SimulatedGPU:
             discipline="temporal",  # NVIDIA default: time-sliced contexts
         )
         self.groups.append(self.default_group)
-        # Utilization accounting (integrals of current allocations).
-        # Compensated sums: at millions of kernel events the naive float
-        # accumulation drifts enough to fail conservation checks.
-        self._cur_sm_alloc = 0.0
-        self._cur_bw_alloc = 0.0
-        self._integral_t0 = env.now
-        self._sm_seconds = KahanSum()
-        self._bw_byte_seconds = KahanSum()
+        # The allocator's state per fluid domain (key -> state), in
+        # creation order: the device domain, then one per MIG instance.
+        self._domains: dict[Optional[int], _AllocDomain] = {
+            None: _AllocDomain(self.pool.domain(None), env.now)}
         self.kernels_completed = 0
         # Incremental-allocator state and diagnostics.
         if cross_check is None:
             cross_check = os.environ.get("REPRO_ALLOC_CHECK", "") not in ("", "0")
         self.cross_check = cross_check
         # Kept by the pool's membership hook (incremental mode only):
-        # one allocation record per resident group (gid -> record), the
-        # records in the full path's group order (that of each group's
-        # first resident task, kept by insertion), the dirty records,
-        # and the number of fair-policy groups.  A poke bumps the pool
-        # epoch; a new epoch, or any fair-count change since the last
-        # pass, makes the next pass a full round (every record revisited;
-        # a solo pass defers it).
+        # one allocation record per resident group (gid -> record); each
+        # record's domain keeps the group order and the dirty list.
         self._groups: dict[int, _GroupAllocState] = {}
-        self._ordered: list[_GroupAllocState] = []
-        self._dirty: list[_GroupAllocState] = []
-        self._n_fair = 0
-        self._seen_epoch = -1
-        self._fair_moved = False
-        # Whether the last pass water-filled the group shares (see the
-        # rates pass of _allocate_incremental).
-        self._was_contended = True
         # Allocation memo.  Groups of identical replicas recur with the
         # same contents, so a dirty group's SM/demand columns are looked
         # up by (SM budget, ordered kernel-class ids) before they are
@@ -445,13 +484,17 @@ class SimulatedGPU:
 
     @property
     def sm_seconds(self) -> float:
-        """Integral of allocated SMs over time (compensated sum)."""
-        return self._sm_seconds.value
+        """Integral of allocated SMs over time (the domains' compensated
+        sums, added in domain order)."""
+        return reduce(add, [d.sm_seconds.value
+                            for d in self._domains.values()], 0.0)
 
     @property
     def bw_byte_seconds(self) -> float:
-        """Integral of allocated bandwidth over time (compensated sum)."""
-        return self._bw_byte_seconds.value
+        """Integral of allocated bandwidth over time (the domains'
+        compensated sums, added in domain order)."""
+        return reduce(add, [d.bw_byte_seconds.value
+                            for d in self._domains.values()], 0.0)
 
     # -- client factories ---------------------------------------------------
     def timeshare_client(self, name: str) -> GpuClient:
@@ -464,7 +507,16 @@ class SimulatedGPU:
         return GpuClient(self, self.default_group, name)
 
     def add_group(self, group: ShareGroup) -> ShareGroup:
+        """Attach ``group``.  A cap-policy group with a bandwidth cap of
+        its own is a hardware-isolated slice (a MIG instance: its SMs,
+        memory and bandwidth are its own) and gets its own fluid domain.
+        MIG's slice accounting keeps the instances' caps within the
+        device bandwidth, so no shared water level couples them."""
         self.groups.append(group)
+        if group.bw_cap is not None and group.sm_policy == "cap":
+            group.fluid_domain = group.gid
+            self._domains[group.gid] = _AllocDomain(
+                self.pool.domain(group.gid), self.env.now)
         self.pool.poke()
         return group
 
@@ -483,6 +535,7 @@ class SimulatedGPU:
                          meta={"client": client, "kernel": kernel})
         task.done.callbacks.append(self._on_complete)
         group = client.group
+        task.domain = group.fluid_domain
         if group.discipline == "temporal":
             group.submit(task)
         else:
@@ -492,20 +545,30 @@ class SimulatedGPU:
     def _on_complete(self, ev: Event) -> None:
         if ev._ok:
             self.kernels_completed += 1
-        if not self.pool._tasks:
-            # Allocator will not be called again until new work arrives;
-            # close the utilization integral now.
-            self._integrate()
-            self._cur_sm_alloc = 0.0
-            self._cur_bw_alloc = 0.0
+            domains = (self._domains[ev._value.domain],)
+        else:
+            # A killed kernel: its task is not at hand, so look at
+            # every domain.
+            domains = self._domains.values()
+        for dom in domains:
+            if not dom.fluid._tasks:
+                # The domain's allocator will not be called again until
+                # new work arrives; close its utilization integral now.
+                self._integrate_domain(dom)
+                dom.cur_sm = 0.0
+                dom.cur_bw = 0.0
 
     # -- utilization ------------------------------------------------------------
     def _integrate(self) -> None:
-        dt = self.env.now - self._integral_t0
+        for dom in self._domains.values():
+            self._integrate_domain(dom)
+
+    def _integrate_domain(self, dom: "_AllocDomain") -> None:
+        dt = self.env.now - dom.t0
         if dt > 0:
-            self._sm_seconds.add(self._cur_sm_alloc * dt)
-            self._bw_byte_seconds.add(self._cur_bw_alloc * dt)
-        self._integral_t0 = self.env.now
+            dom.sm_seconds.add(dom.cur_sm * dt)
+            dom.bw_byte_seconds.add(dom.cur_bw * dt)
+        dom.t0 = self.env.now
 
     def sm_utilization(self, since: float = 0.0) -> float:
         """Mean SM utilization in [0,1] from ``since`` until now."""
@@ -521,12 +584,13 @@ class SimulatedGPU:
         group's record in sync with the pool and mark it dirty.
 
         Residency dicts keep admission order, the full path's iteration
-        contract.  ``_ordered`` stays sorted by first admission as it
-        goes: a new group sorts last (its first task is the newest
-        admission), a vanished one just leaves, and a surviving group
-        that loses its first task is the only record that can move — it
-        is re-inserted by its new key.  A cap-policy group's tasks are
-        classified here, from the class cache when it holds the entry.
+        contract.  The domain's ``ordered`` stays sorted by first
+        admission as it goes: a new group sorts last (its first task is
+        the newest admission), a vanished one just leaves, and a
+        surviving group that loses its first task is the only record
+        that can move — it is re-inserted by its new key.  A cap-policy
+        group's tasks are classified here, from the class cache when it
+        holds the entry.
         """
         client = task.meta["client"]
         group: ShareGroup = client.group
@@ -535,12 +599,13 @@ class SimulatedGPU:
         tid = task.tid
         if added:
             if st is None:
-                st = self._groups[gid] = _GroupAllocState(group)
+                dom = self._domains[group.fluid_domain]
+                st = self._groups[gid] = _GroupAllocState(group, dom)
                 st.first = task._aseq
-                self._ordered.append(st)
+                dom.ordered.append(st)
                 if group.sm_policy == "fair":
-                    self._n_fair += 1
-                    self._fair_moved = True
+                    dom.n_fair += 1
+                    dom.fair_moved = True
                 self._set_capacity(st)
             st.res[tid] = task
             counts = st.counts
@@ -571,22 +636,23 @@ class SimulatedGPU:
             st.cls.pop(tid, None)
             if not res:
                 del self._groups[gid]
-                self._ordered.remove(st)
+                dom = st.dom
+                dom.ordered.remove(st)
                 if st.dirty:
-                    self._dirty.remove(st)
+                    dom.dirty.remove(st)
                 if group.sm_policy == "fair":
-                    self._n_fair -= 1
-                    self._fair_moved = True
+                    dom.n_fair -= 1
+                    dom.fair_moved = True
                 return
             if first:
                 st.first = next(iter(res.values()))._aseq
-                if len(self._ordered) > 1:
-                    ordered = self._ordered
+                ordered = st.dom.ordered
+                if len(ordered) > 1:
                     ordered.remove(st)
                     insort(ordered, st, key=_first_admission)
         if not st.dirty:
             st.dirty = True
-            self._dirty.append(st)
+            st.dom.dirty.append(st)
 
     def _classify(self, st: _GroupAllocState, t: FluidTask) -> None:
         """Cache ``t``'s SM demand under the record's budget, its kernel
@@ -618,13 +684,14 @@ class SimulatedGPU:
         st.kclass[t.tid] = entry
         st.cls[t.tid] = entry[2]
 
-    def _capacity(self, group: ShareGroup) -> tuple[float, float, float]:
+    def _capacity(self, group: ShareGroup,
+                  n_fair: int) -> tuple[float, float, float]:
         """``(SM budget, overhead factor, bandwidth cap)`` of a resident
-        group: the full path's derivation, at the current fair count."""
+        group: the full path's derivation, at its domain's fair count
+        ``n_fair``."""
         spec = self.spec
         cap = group.effective_bw_cap
         if group.sm_policy == "fair":
-            n_fair = self._n_fair
             budget = spec.sms / n_fair if n_fair else 0.0
             cap = min(cap, spec.bandwidth / max(1, n_fair))
         else:
@@ -635,7 +702,8 @@ class SimulatedGPU:
         """Re-derive ``st``'s capacity fields; returns whether its budget
         or overhead moved (its columns or rates must then be redone).  A
         new budget drops the task classes, which depend on it."""
-        budget, overhead, st.gcap = self._capacity(st.group)
+        budget, overhead, st.gcap = self._capacity(st.group,
+                                                   st.dom.n_fair)
         moved = False
         if st.budget != budget:
             st.kclass.clear()
@@ -648,45 +716,49 @@ class SimulatedGPU:
         return moved
 
     def _allocate(self, tasks: Iterable[FluidTask]) -> None:
-        """FluidPool callback: divide SMs and bandwidth over ``tasks``.
+        """FluidPool callback: divide SMs and bandwidth over ``tasks``,
+        the residents of one fluid domain.
 
         Dispatches to the incremental path (per-group memoisation, solo
         fast path) or the original full recompute.  Both produce
         bit-identical rates; ``cross_check`` runs both and compares.
         """
         self.alloc_calls += 1
-        # _integrate, inline: the same Kahan steps applied in place to
-        # the two compensated sums.
+        for first in tasks:
+            break
+        dom = self._domains[first.domain]
+        # _integrate_domain, inline: the same Kahan steps applied in
+        # place to the domain's two compensated sums.
         now = self.env._now
-        dt = now - self._integral_t0
+        dt = now - dom.t0
         if dt > 0:
-            acc = self._sm_seconds
-            y = self._cur_sm_alloc * dt - acc._comp
+            acc = dom.sm_seconds
+            y = dom.cur_sm * dt - acc._comp
             s = acc.value + y
             acc._comp = (s - acc.value) - y
             acc.value = s
-            acc = self._bw_byte_seconds
-            y = self._cur_bw_alloc * dt - acc._comp
+            acc = dom.bw_byte_seconds
+            y = dom.cur_bw * dt - acc._comp
             s = acc.value + y
             acc._comp = (s - acc.value) - y
             acc.value = s
-        self._integral_t0 = now
+        dom.t0 = now
         if self.incremental:
             if len(tasks) == 1:
-                self._allocate_solo(next(iter(tasks)))
+                self._allocate_solo(first, dom)
             else:
-                self._allocate_incremental()
+                self._allocate_incremental(dom)
             if self.cross_check:
-                self._verify_against_full(tasks)
+                self._verify_against_full(tasks, dom)
         else:
             sm_alloc, bw_alloc, rates, total_sm, total_bw = \
                 self._compute_full(tasks)
             for t in tasks:
                 t.rate = rates[t.tid]
-            self._cur_sm_alloc = total_sm
-            self._cur_bw_alloc = total_bw
+            dom.cur_sm = total_sm
+            dom.cur_bw = total_bw
 
-    def _allocate_solo(self, t: FluidTask) -> None:
+    def _allocate_solo(self, t: FluidTask, dom: _AllocDomain) -> None:
         """One resident kernel: the water level is trivial.
 
         Replicates the full path's arithmetic *exactly* (same operations
@@ -729,18 +801,18 @@ class SimulatedGPU:
         if kernel.bytes_moved > 0 and bwd > 0:
             rate_m = bw / kernel.bytes_moved
         rate = min(rate_c, rate_m)
-        self.pool._r[t._slot] = 0.0 if rate == float("inf") else rate
+        dom.fluid._r[t._slot] = 0.0 if rate == float("inf") else rate
         # The record's columns no longer describe the rate just written:
         # mark it dirty so the next incremental pass recomputes it.
         st = self._groups[group.gid]
         if not st.dirty:
             st.dirty = True
-            self._dirty.append(st)
-        self._cur_sm_alloc = sms
-        self._cur_bw_alloc = bw
+            dom.dirty.append(st)
+        dom.cur_sm = sms
+        dom.cur_bw = bw
 
-    def _allocate_incremental(self) -> None:
-        """Memoised allocation: recompute only dirty groups.
+    def _allocate_incremental(self, dom: _AllocDomain) -> None:
+        """Memoised allocation of one domain: recompute only dirty groups.
 
         A record is *dirty* when its membership changed since the last
         pass or the solo path bypassed it.  A *full round* (after a poke
@@ -753,13 +825,13 @@ class SimulatedGPU:
         recompute would produce (enforced by ``cross_check`` and the
         property tests).
         """
-        ordered = self._ordered
-        dirty = self._dirty
+        ordered = dom.ordered
+        dirty = dom.dirty
         pool_epoch = self.pool._epoch
-        full_round = pool_epoch != self._seen_epoch or self._fair_moved
+        full_round = pool_epoch != dom.seen_epoch or dom.fair_moved
         if full_round:
-            self._seen_epoch = pool_epoch
-            self._fair_moved = False
+            dom.seen_epoch = pool_epoch
+            dom.fair_moved = False
             for st in ordered:
                 if self._set_capacity(st) and not st.dirty:
                     st.dirty = True
@@ -819,13 +891,13 @@ class SimulatedGPU:
         # exact, so only the stale groups need the rates pass.  Any
         # contended pass — or the first uncontended one after it — can
         # move a clean group's share, so those visit every group.
-        if contended or self._was_contended or full_round:
+        if contended or dom.was_contended or full_round:
             visit = ordered
         else:
             visit = stale
-        self._was_contended = contended
+        dom.was_contended = contended
 
-        slots = self.pool._r
+        slots = dom.fluid._r
         for st in visit:
             gs = group_share[st] if group_share is not None else st.gdemand
             if st.share == gs:
@@ -857,8 +929,8 @@ class SimulatedGPU:
         for st in ordered:
             total_sm += st.cols.sm_sum
             total_bw += st.split[1]
-        self._cur_sm_alloc = total_sm
-        self._cur_bw_alloc = total_bw
+        dom.cur_sm = total_sm
+        dom.cur_bw = total_bw
 
     def _memo_room(self) -> None:
         """Account for one memo insert, clearing the memo when full."""
@@ -1066,15 +1138,17 @@ class SimulatedGPU:
 
         return sm_alloc, bw_alloc, rates, total_sm, total_bw
 
-    def _verify_against_full(self, tasks: Iterable[FluidTask]) -> None:
-        """Cross-check: assert the incremental result equals the oracle.
+    def _verify_against_full(self, tasks: Iterable[FluidTask],
+                             dom: _AllocDomain) -> None:
+        """Cross-check: assert the incremental result for domain ``dom``
+        (residents ``tasks``) equals the oracle.
 
         The hook-kept indexes are checked first, so a stale one is named
         as such rather than by the rate it corrupts."""
         by_group: dict[int, list[FluidTask]] = {}
         for t in tasks:
             by_group.setdefault(t.meta["client"].group.gid, []).append(t)
-        self._verify_indexes(by_group)
+        self._verify_indexes(by_group, dom)
         sm_alloc, bw_alloc, rates, total_sm, total_bw = \
             self._compute_full(tasks)
         for t in tasks:
@@ -1083,14 +1157,13 @@ class SimulatedGPU:
                     f"{self.name}: rate mismatch for task {t.tid}: "
                     f"incremental {t.rate!r} != full {rates[t.tid]!r}"
                 )
-        if (self._cur_sm_alloc != total_sm
-                or self._cur_bw_alloc != total_bw):
+        if dom.cur_sm != total_sm or dom.cur_bw != total_bw:
             raise AllocatorMismatch(
                 f"{self.name}: utilisation totals diverged: "
-                f"sm {self._cur_sm_alloc!r} != {total_sm!r} or "
-                f"bw {self._cur_bw_alloc!r} != {total_bw!r}"
+                f"sm {dom.cur_sm!r} != {total_sm!r} or "
+                f"bw {dom.cur_bw!r} != {total_bw!r}"
             )
-        for st in self._ordered:
+        for st in dom.ordered:
             if st.dirty:
                 continue  # solo path wrote the rate; columns are stale
             # Allocation columns are positional in residency order.
@@ -1106,38 +1179,41 @@ class SimulatedGPU:
                         f"{bw_alloc[t.tid]!r}"
                     )
 
-    def _verify_indexes(self, by_group: dict[int, list[FluidTask]]) -> None:
-        """Cross-check the hook-maintained records against a recount
-        from the task list (``by_group``: gid -> tasks, both in
-        admission order), so an index fails at the call where it goes
+    def _verify_indexes(self, by_group: dict[int, list[FluidTask]],
+                        dom: _AllocDomain) -> None:
+        """Cross-check domain ``dom``'s hook-maintained records against
+        a recount from its task list (``by_group``: gid -> tasks, both
+        in admission order), so an index fails at the call where it goes
         stale rather than when a rate finally diverges."""
         def check(ok: bool, what: str) -> None:
             if not ok:
                 raise AllocatorMismatch(f"{self.name}: stale index: {what}")
 
         want = list(by_group)
-        got = [st.group.gid for st in self._ordered]
-        check(got == want and len(self._groups) == len(want),
+        got = [st.group.gid for st in dom.ordered]
+        check(got == want
+              and sum(st.dom is dom for st in self._groups.values())
+              == len(want),
               f"group order {got} != first-resident order {want}")
-        check(self._n_fair == sum(st.group.sm_policy == "fair"
-                                  for st in self._ordered), "fair count")
-        check(sorted(map(id, self._dirty))
-              == sorted(id(st) for st in self._ordered if st.dirty),
+        check(dom.n_fair == sum(st.group.sm_policy == "fair"
+                                for st in dom.ordered), "fair count")
+        check(sorted(map(id, dom.dirty))
+              == sorted(id(st) for st in dom.ordered if st.dirty),
               "dirty list")
         # Capacity fields move only in a full round: unless the next
         # pass is one, each record's must be what the group gives now.
-        if (self.pool._epoch == self._seen_epoch
-                and not self._fair_moved):
-            for st in self._ordered:
+        if self.pool._epoch == dom.seen_epoch and not dom.fair_moved:
+            for st in dom.ordered:
                 check((st.budget, st.overhead, st.gcap)
-                      == self._capacity(st.group),
+                      == self._capacity(st.group, dom.n_fair),
                       f"capacity of {st.group.name!r}")
         owner: dict[int, tuple] = {}
         for gid, ts in by_group.items():
             st = self._groups[gid]
             tids = [t.tid for t in ts]
             counts = dict(Counter(t.meta["client"] for t in ts))
-            check(list(st.res) == tids and st.counts == counts
+            check(st.dom is self._domains[st.group.fluid_domain]
+                  and list(st.res) == tids and st.counts == counts
                   and st.repeats == sum(c > 1 for c in counts.values())
                   and st.first == ts[0]._aseq,
                   f"residency of {st.group.name!r}")

@@ -17,15 +17,29 @@ is ``min(compute_rate(SMs), memory_rate(bandwidth share))``, and the
 bandwidth share is recomputed by water-filling on every membership change
 (see :mod:`repro.gpu.device`).
 
+Isolation domains
+-----------------
+A pool is split into *domains*, keyed by each task's ``domain`` (``None``
+unless its creator set one).  Tasks in different domains never share a
+resource, so each domain keeps its own residents, progress clock,
+allocation revision and wakeup: an admission, a cancellation or a
+completion advances and reallocates its own domain only, and the
+allocator is called with that domain's residents.  The GPU device gives
+each MIG instance its own domain (hardware-isolated slices); every other
+share group sits in one device domain.  A pool whose tasks carry no key
+has a single domain and behaves as one undivided pool.
+
 Storage layout
 --------------
-Resident work, rate and drain threshold live in dense parallel lists
-indexed by a per-task *slot* (swap-remove on eviction keeps them
-dense).  ``FluidTask.work`` and ``FluidTask.rate`` are properties over
-the task's slot, so allocators and observers see a plain-attribute
-interface, while an allocator that knows the layout (the GPU device)
-writes rates straight into ``pool._r`` by slot.  The two per-event hot
-loops are scalar loops over the slot lists:
+Within a domain, resident work, rate and drain threshold live in dense
+parallel lists indexed by a per-task *slot* (swap-remove on eviction
+keeps them dense).  ``FluidTask.work`` and ``FluidTask.rate`` are
+properties over the task's slot, so allocators and observers see a
+plain-attribute interface, while an allocator that knows the layout
+(the GPU device) writes rates straight into the domain's ``_r`` by slot.
+A resident task's ``work`` is as of its domain's last update: progress
+since then is applied at the domain's next event.  The two per-event hot
+loops are scalar loops over one domain's slot lists:
 
 - :meth:`FluidPool._advance` fuses the step into one subtraction,
   ``work = w - r*dt``, and clamps the drained amount to ``w`` only when
@@ -46,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Hashable, Optional
 
 from repro.sim.core import (
     NORMAL, Environment, Event, SimulationError, WakeupSlot,
@@ -65,7 +79,7 @@ class FluidTask:
     """A unit of divisible work progressing at a pool-assigned rate."""
 
     __slots__ = ("_work", "total_work", "_rate", "done", "meta", "tid",
-                 "_pool", "_thresh", "_slot", "_aseq")
+                 "domain", "_dom", "_thresh", "_slot", "_aseq")
 
     def __init__(self, env: Environment, work: float, meta: Any = None):
         if work < 0:
@@ -84,41 +98,45 @@ class FluidTask:
         self.done: Event = Event(env, name="fluid-done")
         self.meta = meta
         self.tid = next(_task_ids)
-        self._pool: Optional["FluidPool"] = None
+        #: Isolation-domain key: the pool admits the task into the
+        #: domain of this key (see the module docstring).
+        self.domain: Hashable = None
+        # The domain the task is resident in, or None.
+        self._dom: Optional[_Domain] = None
         self._slot = -1
         self._aseq = -1
 
     @property
     def work(self) -> float:
-        """Remaining work.  Reads the pool slot while resident."""
-        pool = self._pool
-        if pool is None:
+        """Remaining work, as of the domain's last update while resident."""
+        dom = self._dom
+        if dom is None:
             return self._work
-        return pool._w[self._slot]
+        return dom._w[self._slot]
 
     @work.setter
     def work(self, value: float) -> None:
-        pool = self._pool
-        if pool is None:
+        dom = self._dom
+        if dom is None:
             self._work = value
         else:
-            pool._w[self._slot] = value
+            dom._w[self._slot] = value
 
     @property
     def rate(self) -> float:
         """Progress rate (units/s) set by the allocator; slot-resident."""
-        pool = self._pool
-        if pool is None:
+        dom = self._dom
+        if dom is None:
             return self._rate
-        return pool._r[self._slot]
+        return dom._r[self._slot]
 
     @rate.setter
     def rate(self, value: float) -> None:
-        pool = self._pool
-        if pool is None:
+        dom = self._dom
+        if dom is None:
             self._rate = value
         else:
-            pool._r[self._slot] = value
+            dom._r[self._slot] = value
 
     @property
     def progress(self) -> float:
@@ -138,33 +156,73 @@ def _aseq_key(task: FluidTask) -> int:
     return task._aseq
 
 
+class _Domain:
+    """One isolation domain of a :class:`FluidPool`: its residents, their
+    slot lists, its progress clock, allocation revision and wakeup."""
+
+    __slots__ = ("pool", "_tasks", "_w", "_r", "_th", "_slot_task",
+                 "_last_update", "_wake", "_wakeup_pending", "_members_rev",
+                 "_alloc_rev", "_alloc_epoch")
+
+    def __init__(self, pool: "FluidPool") -> None:
+        self.pool = pool
+        # Resident tasks keyed by tid.  Python dicts preserve insertion
+        # order, so iteration is admission order (the allocator contract)
+        # while removal is O(1).
+        self._tasks: dict[int, FluidTask] = {}
+        # Dense parallel slot lists (see module docstring): _slot_task[i]
+        # is the task in slot i; _w/_r/_th hold its remaining work, rate,
+        # and drain threshold.  Eviction swap-removes the last slot into
+        # the hole, so [0:n) is always dense.
+        self._w: list[float] = []
+        self._r: list[float] = []
+        self._th: list[float] = []
+        self._slot_task: list[FluidTask] = []
+        self._last_update = pool.env.now
+        # The completion wakeup: one slot outside the event heap (built
+        # at the first arming), re-armed on every reallocation.
+        self._wake: Optional[WakeupSlot] = None
+        self._wakeup_pending = False
+        # The membership revision, with the pool's capacity epoch,
+        # decides whether cached rates are still valid, letting
+        # _reallocate skip the allocator entirely.  tids are unique and
+        # admission-monotonic, so "no mutation since the last
+        # allocation" is exactly "same resident sequence".
+        self._members_rev = 0
+        self._alloc_rev = -1
+        self._alloc_epoch = 0
+
+
 class FluidPool:
     """A pool of fluid tasks sharing a resource via an allocator callback.
 
     Completion delivery: a task's ``done`` fires with the task when its
-    work drains.  When the pool's wakeup drains tasks, the wakeup itself
-    runs their ``done`` callbacks after re-arming the pool, in admission
-    order, so a completion costs no loop event of its own.  Within one
-    wakeup that is the order scheduled ``done`` events would fire in;
-    other events due at the same instant (another pool's wakeup, a
-    timeout or an arrival at that time) run after these callbacks, where
-    they would run before scheduled ``done`` events.  If a callback
-    raises, the wakeup's undelivered completions are scheduled and the
-    error propagates.  A task that drains anywhere else keeps a
-    scheduled ``done``: above all one that drains at admission, inside
-    :meth:`add`, whose launcher attaches callbacks only after ``add``
-    returns (likewise a drain found by ``cancel`` or ``poke``).
+    work drains.  When a domain's wakeup drains tasks, the wakeup itself
+    runs their ``done`` callbacks after re-arming the domain, in
+    admission order, so a completion costs no loop event of its own.
+    Within one wakeup that is the order scheduled ``done`` events would
+    fire in; other events due at the same instant (another domain's or
+    pool's wakeup, a timeout or an arrival at that time) run after these
+    callbacks, where they would run before scheduled ``done`` events.
+    Wakeups due at the same instant fire in the order they were armed.
+    If a callback raises, the wakeup's undelivered completions are
+    scheduled and the error propagates.  A task that drains anywhere
+    else keeps a scheduled ``done``: above all one that drains at
+    admission, inside :meth:`add`, whose launcher attaches callbacks
+    only after ``add`` returns (likewise a drain found by ``cancel`` or
+    ``poke``).
 
     Parameters
     ----------
     env:
         Simulation environment.
     allocator:
-        Called with a view of the resident tasks (in admission order)
-        whenever membership changes; must set ``task.rate`` on each (or
-        write ``pool._r`` by ``task._slot``, which is the same store).  Rates
-        must be non-negative and may be zero (a starved task simply does
-        not progress).
+        Called with a view of one domain's resident tasks (in admission
+        order) whenever that domain's membership changes; must set
+        ``task.rate`` on each (or write the domain's ``_r`` by
+        ``task._slot``, which is the same store).  Rates must be
+        non-negative and may be zero (a starved task simply does not
+        progress).
     on_change:
         Optional ``fn(task, added)`` invoked synchronously at every
         membership mutation (admission: ``added=True``; completion or
@@ -182,40 +240,15 @@ class FluidPool:
         self.allocator = allocator
         self.name = name
         self.on_change = on_change
-        # Resident tasks keyed by tid.  Python dicts preserve insertion
-        # order, so iteration is admission order (the allocator contract)
-        # while removal is O(1) — the old list-based pool paid an O(n)
-        # ``list.remove`` per completion/cancellation.
-        self._tasks: dict[int, FluidTask] = {}
-        # Dense parallel slot lists (see module docstring): _slot_task[i]
-        # is the task in slot i; _w/_r/_th hold its remaining work, rate,
-        # and drain threshold.  Eviction swap-removes the last slot into
-        # the hole, so [0:n) is always dense.
-        self._w: list[float] = []
-        self._r: list[float] = []
-        self._th: list[float] = []
-        self._slot_task: list[FluidTask] = []
-        # Admission sequence: slot order is scrambled by swap-removes,
-        # so batch completions are re-sorted by this before being
-        # finalised (completions were and are observable in admission
-        # order through on_change and done-callback ordering).
+        # Domains by key, in creation order.
+        self._domains: dict[Hashable, _Domain] = {}
+        # Admission sequence, across domains: slot order is scrambled by
+        # swap-removes, so batch completions are re-sorted by this before
+        # being finalised, and ``tasks`` merges the domains by it.
         self._aseq = 0
-        self._last_update = env.now
-        # The completion wakeup: one slot outside the event heap (built
-        # at the first arming), re-armed on every reallocation.
-        self._wake: Optional[WakeupSlot] = None
-        # External capacity changes (poke) bump the epoch; together with
-        # the membership revision it decides whether cached rates are
-        # still valid, letting _reallocate skip the allocator entirely.
-        # The revision counter replaces a per-call tuple of resident
-        # tids: tids are unique and admission-monotonic, so "no
-        # mutation since the last allocation" is exactly "same resident
-        # sequence" — at O(1) instead of O(#tasks) per event.
+        # External capacity changes (poke) bump the epoch: every domain's
+        # next reallocation then runs the allocator.
         self._epoch = 0
-        self._members_rev = 0
-        self._alloc_rev = -1
-        self._alloc_epoch = 0
-        self._wakeup_pending = False
         # Compensated: at 1M+ tasks the naive running sum drifts enough
         # to fail the conservation checks (see repro.sim.numerics).
         self._work_drained = KahanSum()
@@ -228,103 +261,125 @@ class FluidPool:
     # -- public API ---------------------------------------------------------
     @property
     def tasks(self) -> tuple[FluidTask, ...]:
-        return tuple(self._tasks.values())
+        """Resident tasks of every domain, in admission order."""
+        views = [d._tasks.values() for d in self._domains.values()
+                 if d._tasks]
+        if len(views) == 1:
+            return tuple(views[0])
+        return tuple(sorted(itertools.chain.from_iterable(views),
+                            key=_aseq_key))
 
     def __len__(self) -> int:
-        return len(self._tasks)
+        return sum(len(d._tasks) for d in self._domains.values())
+
+    def domain(self, key: Hashable = None) -> _Domain:
+        """The domain of ``key``, created on first use."""
+        d = self._domains.get(key)
+        if d is None:
+            d = self._domains[key] = _Domain(self)
+        return d
 
     def add(self, task: FluidTask) -> FluidTask:
-        """Admit a task; returns it (its ``done`` event fires on drain)."""
-        if task._pool is not None:
+        """Admit a task into its domain; returns it (its ``done`` event
+        fires on drain)."""
+        if task._dom is not None:
             raise SimulationError("task already resident in a pool")
-        self._advance()
+        d = self._domains.get(task.domain)
+        if d is None:
+            d = self.domain(task.domain)
+        self._advance(d)
         if task._work <= task._thresh:
             # Drains instantly: complete without ever becoming resident
             # (residency would double-fire ``done`` on the next advance).
             task._work = 0.0
             task.done.succeed(task)
             return task
-        task._slot = len(self._slot_task)
-        self._w.append(task._work)
-        self._r.append(0.0)  # no progress until the allocator runs
-        self._th.append(task._thresh)
-        self._slot_task.append(task)
+        task._slot = len(d._slot_task)
+        d._w.append(task._work)
+        d._r.append(0.0)  # no progress until the allocator runs
+        d._th.append(task._thresh)
+        d._slot_task.append(task)
         task._aseq = self._aseq
         self._aseq += 1
-        task._pool = self
-        self._tasks[task.tid] = task
-        self._members_rev += 1
+        task._dom = d
+        d._tasks[task.tid] = task
+        d._members_rev += 1
         if self.on_change is not None:
             self.on_change(task, True)
-        self._reallocate()
+        self._reallocate(d)
         return task
 
     def cancel(self, task: FluidTask) -> float:
         """Evict a task before completion; returns remaining work."""
-        if task._pool is not self:
+        d = task._dom
+        if d is None or d.pool is not self:
             raise SimulationError("task not resident in this pool")
-        self._advance()
-        if task._pool is not self:
+        self._advance(d)
+        if task._dom is not d:
             # The pending progress drained it: _advance already finished
             # it (done fired, membership updated) — nothing left to evict.
             return 0.0
         self._evict_slot(task)
-        del self._tasks[task.tid]
-        self._members_rev += 1
+        del d._tasks[task.tid]
+        d._members_rev += 1
         if self.on_change is not None:
             self.on_change(task, False)
-        self._reallocate()
+        self._reallocate(d)
         return task._work
 
     def poke(self) -> None:
-        """Force a reallocation (e.g. after an external capacity change)."""
-        if not self._tasks:
-            # Empty-to-empty: capacity changes cannot affect anyone, and
-            # _advance has nothing to drain.  Skip the allocator round
-            # trip entirely (a previously hot path for group churn).
-            self._last_update = self.env.now
+        """Force a reallocation of every domain (e.g. after an external
+        capacity change)."""
+        busy = [d for d in self._domains.values() if d._tasks]
+        if not busy:
+            # Capacity changes cannot affect anyone, and an empty domain
+            # has nothing to drain: skip the allocator round trip.
             return
         self._epoch += 1
-        self._advance()
-        self._reallocate()
+        for d in busy:
+            self._advance(d)
+            self._reallocate(d)
 
     # -- internals ------------------------------------------------------------
     def _evict_slot(self, task: FluidTask) -> None:
-        """Swap-remove ``task``'s slot and detach the task from the pool
+        """Swap-remove ``task``'s slot and detach the task from its domain
         (its work is written back; its rate drops to zero)."""
+        d = task._dom
         i = task._slot
-        task._work = self._w[i]
+        task._work = d._w[i]
         task._rate = 0.0
-        task._pool = None
-        last = len(self._slot_task) - 1
+        task._dom = None
+        last = len(d._slot_task) - 1
         if i != last:
-            self._w[i] = self._w[last]
-            self._r[i] = self._r[last]
-            self._th[i] = self._th[last]
-            moved = self._slot_task[last]
-            self._slot_task[i] = moved
+            d._w[i] = d._w[last]
+            d._r[i] = d._r[last]
+            d._th[i] = d._th[last]
+            moved = d._slot_task[last]
+            d._slot_task[i] = moved
             moved._slot = i
-        self._w.pop()
-        self._r.pop()
-        self._th.pop()
-        self._slot_task.pop()
+        d._w.pop()
+        d._r.pop()
+        d._th.pop()
+        d._slot_task.pop()
         task._slot = -1
 
-    def _advance(self, inline: bool = False) -> Optional[list[FluidTask]]:
-        """Apply progress at current rates from the last update until now.
+    def _advance(self, d: _Domain,
+                 inline: bool = False) -> Optional[list[FluidTask]]:
+        """Apply domain ``d``'s progress at current rates from its last
+        update until now.
 
         Returns the drained tasks (admission order) or ``None``.  Each
         drained task's ``done`` is scheduled, unless ``inline``: then it
         is only triggered, and the caller runs its callbacks."""
         now = self.env._now
-        dt = now - self._last_update
-        self._last_update = now
-        n = len(self._slot_task)
+        dt = now - d._last_update
+        d._last_update = now
+        n = len(d._slot_task)
         if dt <= 0 or n == 0:
             return None
-        w = self._w
-        r = self._r
-        th = self._th
+        w = d._w
+        r = d._r
+        th = d._th
         finished: Optional[list[FluidTask]] = None
         drained_total = 0.0
         for i in range(n):
@@ -337,7 +392,7 @@ class FluidPool:
                 work = 0.0
                 if finished is None:
                     finished = []
-                finished.append(self._slot_task[i])
+                finished.append(d._slot_task[i])
             w[i] = work
             drained_total += drained
         self._work_drained.add(drained_total)
@@ -348,8 +403,8 @@ class FluidPool:
             for task in finished:
                 self._evict_slot(task)
                 task._work = 0.0
-                del self._tasks[task.tid]
-                self._members_rev += 1
+                del d._tasks[task.tid]
+                d._members_rev += 1
                 if on_change is not None:
                     on_change(task, False)
                 if inline:
@@ -359,24 +414,24 @@ class FluidPool:
                     task.done.succeed(task)
         return finished
 
-    def _reallocate(self) -> None:
-        if not self._tasks:
-            self._disarm()
-            self._alloc_rev = -1
+    def _reallocate(self, d: _Domain) -> None:
+        if not d._tasks:
+            self._disarm(d)
+            d._alloc_rev = -1
             return
-        if (self._members_rev == self._alloc_rev
-                and self._epoch == self._alloc_epoch):
+        if (d._members_rev == d._alloc_rev
+                and self._epoch == d._alloc_epoch):
             # Same resident set under the same external capacity: the
             # allocator would reproduce the rates every task already
             # carries, so skip it (and the water-filling behind it).  Only
             # a fired wakeup gets here — add, cancel and poke bump a
             # revision — so nothing is armed: arm the next completion.
-            self._schedule_wakeup()
+            self._schedule_wakeup(d)
             return
-        self.allocator(self._tasks.values())
-        self._alloc_rev = self._members_rev
-        self._alloc_epoch = self._epoch
-        # The common case, armed in this frame: a pool whose tasks all
+        self.allocator(d._tasks.values())
+        d._alloc_rev = d._members_rev
+        d._alloc_epoch = self._epoch
+        # The common case, armed in this frame: a domain whose tasks all
         # progress — _schedule_wakeup's first branch, without its rate
         # pre-scan.  Resident work is positive, so a starved task
         # raises ZeroDivisionError and a negative rate gives a negative
@@ -385,23 +440,24 @@ class FluidPool:
         # and handles starvation.  (A horizon below the clock's
         # resolution fires once without progress and reaches the full
         # scan that way.)
-        if self._wake is not None:
+        if d._wake is not None:
             try:
-                horizon = min(map(operator.truediv, self._w, self._r))
+                horizon = min(map(operator.truediv, d._w, d._r))
             except ZeroDivisionError:
                 horizon = -1.0
             if 0.0 <= horizon < math.inf:
-                self._arm(horizon)
+                self._arm(d, horizon)
                 return
-        self._schedule_wakeup()
+        self._schedule_wakeup(d)
 
-    def _schedule_wakeup(self) -> None:
-        """Arm the wakeup for the earliest completion at current rates."""
+    def _schedule_wakeup(self, d: _Domain) -> None:
+        """Arm ``d``'s wakeup for its earliest completion at current
+        rates."""
         # The scan doubles as rate validation (the former separate
         # O(#tasks) pass over the allocator's output).
         horizon = math.inf
-        w = self._w
-        r = self._r
+        w = d._w
+        r = d._r
         rmin = min(r)
         if rmin > 0.0:
             # Every rate is positive: the horizon is the smallest
@@ -410,7 +466,7 @@ class FluidPool:
             # the chosen float is identical.
             horizon = min(map(operator.truediv, w, r))
         elif rmin < 0.0:
-            bad = next(t for t, rate in zip(self._slot_task, r) if rate < 0)
+            bad = next(t for t, rate in zip(d._slot_task, r) if rate < 0)
             raise SimulationError(
                 f"allocator produced negative rate for {bad!r}"
             )
@@ -423,17 +479,17 @@ class FluidPool:
                         horizon = h
         if horizon == math.inf:
             # Every task starved; an external poke must revive them.
-            self._disarm()
+            self._disarm(d)
             return
-        if self._wake is None:
-            # The completion wakeup; the closure's name is its profiler
-            # site.  It drains due work, re-arms, then runs each drained
-            # task's ``done`` callbacks in admission order, with no loop
-            # event of their own.
+        if d._wake is None:
+            # The domain's completion wakeup; the closure's name is its
+            # profiler site.  It drains the domain's due work, re-arms,
+            # then runs each drained task's ``done`` callbacks in
+            # admission order, with no loop event of their own.
             def _on_wakeup(_ev: Event) -> None:
-                self._wakeup_pending = False
-                finished = self._advance(True)
-                self._reallocate()
+                d._wakeup_pending = False
+                finished = self._advance(d, True)
+                self._reallocate(d)
                 if finished is None:
                     return
                 pending = iter(finished)
@@ -452,7 +508,7 @@ class FluidPool:
                         enqueue(task.done, NORMAL)
                     raise
 
-            self._wake = WakeupSlot(self.env, _on_wakeup)
+            d._wake = WakeupSlot(self.env, _on_wakeup)
         now = self.env._now
         if now + horizon <= now:
             # The earliest completion rounds to now: a wakeup there
@@ -461,14 +517,14 @@ class FluidPool:
             # that step's progress covers the remaining work (worth
             # under half an ulp), so the task drains.
             horizon = math.ulp(now)
-        self._arm(horizon)
+        self._arm(d, horizon)
 
-    def _arm(self, delay: float) -> None:
-        """(Re-)arm the completion wakeup ``delay`` from now."""
-        self.env.arm(self._wake, delay)
-        self._wakeup_pending = True
+    def _arm(self, d: _Domain, delay: float) -> None:
+        """(Re-)arm ``d``'s completion wakeup ``delay`` from now."""
+        self.env.arm(d._wake, delay)
+        d._wakeup_pending = True
 
-    def _disarm(self) -> None:
-        if self._wakeup_pending:
-            self._wakeup_pending = False
-            self.env.disarm(self._wake)
+    def _disarm(self, d: _Domain) -> None:
+        if d._wakeup_pending:
+            d._wakeup_pending = False
+            self.env.disarm(d._wake)

@@ -41,6 +41,7 @@ from hypothesis import strategies as st
 
 from repro.gpu import (
     A100_40GB,
+    A100_80GB,
     Kernel,
     MigManager,
     MpsControlDaemon,
@@ -149,13 +150,29 @@ def test_incremental_matches_full_recompute(topology, schedule):
     assert gpu.alloc_calls > 0
 
 
-def _cancel_run(schedule, incremental):
-    """Admit/cancel/poke churn on flat MPS; returns the event log."""
+def _full_memory_mig_setup(env, gpu, n_clients):
+    """``4g.40gb`` + ``3g.40gb`` on an A100-80GB, an MPS daemon in each:
+    all eight memory slices, so the two instances' bandwidth caps sum
+    to the device bandwidth."""
+    manager = MigManager(gpu)
+    env.run(until=env.process(manager.enable()))
+    daemons = [manager.create_instance(profile).enable_mps()
+               for profile in ("4g.40gb", "3g.40gb")]
+    assert (daemons[0].group.bw_cap + daemons[1].group.bw_cap
+            == gpu.spec.bandwidth)
+    pct = max(1, 100 // n_clients)
+    return [daemons[i % 2].client(f"c{i}", active_thread_percentage=pct)
+            for i in range(n_clients)]
+
+
+def _cancel_run(schedule, incremental, spec=SPEC, setup=_mps_setup):
+    """Admit/cancel/poke churn (flat MPS by default); returns the event
+    log."""
     n_clients, launches = schedule
     env = Environment()
-    gpu = SimulatedGPU(env, SPEC, incremental=incremental,
+    gpu = SimulatedGPU(env, spec, incremental=incremental,
                        cross_check=incremental)
-    clients = _mps_setup(env, gpu, n_clients)
+    clients = setup(env, gpu, n_clients)
     events = []
 
     def submit(env, client, delay, kernel, cancel_after):
@@ -168,7 +185,7 @@ def _cancel_run(schedule, incremental):
         task = mine[-1] if mine else None
         if cancel_after is not None and task is not None:
             yield env.timeout(cancel_after)
-            if not done.triggered and task._pool is gpu.pool:
+            if not done.triggered and task._dom is not None:
                 gpu.pool.cancel(task)
                 events.append(("cancel", env.now))
                 return
@@ -200,6 +217,18 @@ def _cancel_run(schedule, incremental):
 def test_cancellation_keeps_paths_identical(schedule):
     """Admit/cancel churn (eviction mid-flight) stays bit-identical."""
     assert _cancel_run(schedule, True) == _cancel_run(schedule, False)
+
+
+@given(schedule=launch_schedule())
+@settings(max_examples=25, deadline=None)
+def test_full_memory_mig_layout_keeps_paths_identical(schedule):
+    """Admit/cancel/poke churn over MPS clients of a full-memory MIG
+    layout, each instance its own fluid domain whose bandwidth cap is
+    half the device's: the cross-checked incremental run and the full
+    recompute agree exactly."""
+    run = (lambda incremental: _cancel_run(
+        schedule, incremental, A100_80GB, _full_memory_mig_setup))
+    assert run(True) == run(False)
 
 
 @regimes
@@ -360,20 +389,32 @@ def test_solo_fast_path_and_counters():
     assert gpu.alloc_group_recomputes > 0
 
 
+def _device_groups(gpu, n_clients):
+    """Two spatial 54-SM groups with no bandwidth cap of their own, so
+    both sit in the device domain; client ``i`` joins group ``i % 2``."""
+    groups = [gpu.add_group(device.ShareGroup(
+        name=f"g{g}", device=gpu, sm_budget=54, bw_cap=None,
+        memory=MemoryPool(SPEC.memory_bytes / 2, name=f"g{g}-mem")))
+        for g in range(2)]
+    return [device.GpuClient(gpu, groups[i % 2], f"c{i}")
+            for i in range(n_clients)]
+
+
 def test_group_reuse_skips_clean_groups():
-    """With two MIG groups, churn in one must not recompute the other."""
+    """With two groups in one domain, churn in one must not recompute
+    the other."""
     env = Environment()
     gpu = SimulatedGPU(env, SPEC, incremental=True, cross_check=True)
-    # Four clients over two MIG instances (even index -> instance 0).
-    clients = _mig_setup(env, gpu, 4)
+    # Four clients over two groups (even index -> group 0).
+    clients = _device_groups(gpu, 4)
 
     def busy(env, client, n):
         for _ in range(n):
             yield client.launch(Kernel(flops=1e10, bytes_moved=1e7,
                                        max_sms=14))
 
-    # Instance 0 churns (two clients trading short kernels) while
-    # instance 1 holds one long kernel: every churn event dirties only
+    # Group 0 churns (two clients trading short kernels) while group 1
+    # holds one long kernel: every churn event dirties only
     # group 0, so group 1's cached state must be reused.  (Reuse needs
     # at least two resident tasks throughout — a single resident kernel
     # takes the solo path, which drops the cache on purpose.)
@@ -390,15 +431,16 @@ def test_group_reuse_skips_clean_groups():
 
 
 def test_group_order_is_checked_exactly():
-    """The hook keeps the records in first-admission order, and the
-    cross-check compares that order exactly: two swapped records fail
-    the next allocation."""
+    """The hook keeps a domain's records in first-admission order, and
+    the cross-check compares that order exactly: two swapped records
+    fail the next allocation.  (Two spatial groups without a bandwidth
+    cap of their own share the device domain.)"""
     env = Environment()
     gpu = SimulatedGPU(env, SPEC, incremental=True, cross_check=True)
-    clients = _mig_setup(env, gpu, 2)
+    clients = _device_groups(gpu, 2)
     for client in clients:
         client.launch(Kernel(flops=1e12, bytes_moved=1e9, max_sms=14))
-    ordered = gpu._ordered
+    ordered = gpu._domains[None].ordered
     assert [st.group for st in ordered] == [c.group for c in clients]
     ordered[0], ordered[1] = ordered[1], ordered[0]
     with pytest.raises(AllocatorMismatch, match="group order"):
@@ -458,7 +500,9 @@ def _palette_clients(topology, env, gpu, pcts):
         env.run(until=env.process(manager.enable()))
         daemons = [manager.create_instance(profile).enable_mps()
                    for profile in ("1g.5gb", "2g.10gb")]
-    return [daemons[i % len(daemons)].client(
+    # Clients pair up per daemon, so the first two launches share a MIG
+    # instance (one fluid domain) and its group.
+    return [daemons[i // 2 % len(daemons)].client(
                 f"c{i}", active_thread_percentage=pct)
             for i, pct in enumerate(pcts)]
 

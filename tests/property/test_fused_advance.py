@@ -52,21 +52,21 @@ class LoopAdvancePool(FluidPool):
         #: Wakeups armed at most one clock ulp ahead.
         self.sub_ulp = 0
 
-    def _arm(self, delay):
+    def _arm(self, d, delay):
         if delay <= math.ulp(self.env.now):
             self.sub_ulp += 1
-        super()._arm(delay)
+        super()._arm(d, delay)
 
-    def _advance(self, inline=False):
-        n = len(self._slot_task)
+    def _advance(self, d, inline=False):
+        n = len(d._slot_task)
         now = self.env._now
-        dt = now - self._last_update
-        self._last_update = now
+        dt = now - d._last_update
+        d._last_update = now
         if dt <= 0 or n == 0:
             return None
-        w = self._w
-        r = self._r
-        th = self._th
+        w = d._w
+        r = d._r
+        th = d._th
         finished = None
         drained_total = 0.0
         for i in range(n):
@@ -85,7 +85,7 @@ class LoopAdvancePool(FluidPool):
                 work = 0.0
                 if finished is None:
                     finished = []
-                finished.append(self._slot_task[i])
+                finished.append(d._slot_task[i])
             w[i] = work
         self._work_drained.add(drained_total)
         if finished is not None:
@@ -93,8 +93,8 @@ class LoopAdvancePool(FluidPool):
             for task in finished:
                 self._evict_slot(task)
                 task._work = 0.0
-                del self._tasks[task.tid]
-                self._members_rev += 1
+                del d._tasks[task.tid]
+                d._members_rev += 1
                 if self.on_change is not None:
                     self.on_change(task, False)
                 # The pool's delivery rule: a wakeup's drains are
@@ -105,27 +105,27 @@ class LoopAdvancePool(FluidPool):
                     task.done.succeed(task)
         return finished
 
-    def _reallocate(self):
-        if not self._tasks:
-            self._disarm()
-            self._alloc_rev = -1
+    def _reallocate(self, d):
+        if not d._tasks:
+            self._disarm(d)
+            d._alloc_rev = -1
             return
-        if (self._members_rev == self._alloc_rev
-                and self._epoch == self._alloc_epoch):
-            if self._wakeup_pending:
+        if (d._members_rev == d._alloc_rev
+                and self._epoch == d._alloc_epoch):
+            if d._wakeup_pending:
                 return
-            self._schedule_wakeup()
+            self._schedule_wakeup(d)
             return
-        self.allocator(self._tasks.values())
-        self._alloc_rev = self._members_rev
-        self._alloc_epoch = self._epoch
-        r = self._r
-        if self._wake is not None and min(r) > 0.0:
-            horizon = min(map(operator.truediv, self._w, r))
+        self.allocator(d._tasks.values())
+        d._alloc_rev = d._members_rev
+        d._alloc_epoch = self._epoch
+        r = d._r
+        if d._wake is not None and min(r) > 0.0:
+            horizon = min(map(operator.truediv, d._w, r))
             if horizon < math.inf:
-                self._arm(max(horizon, 0.0))
+                self._arm(d, max(horizon, 0.0))
                 return
-        self._schedule_wakeup()
+        self._schedule_wakeup(d)
 
 
 class StateLog(EventLoopProfiler):

@@ -37,35 +37,35 @@ class HeapWakeupPool(FluidPool):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._gen = 0
+        # Arming generation per domain.
+        self._gen: dict = {}
         #: Wakeups that popped after a later arming superseded them.
         self.superseded = 0
         #: Calls of the arming seam.
         self.arms = 0
 
-    def _arm(self, delay: float) -> None:
+    def _arm(self, d, delay: float) -> None:
         self.arms += 1
-        self._gen += 1
-        gen = self._gen
+        gen = self._gen[d] = self._gen.get(d, 0) + 1
         wakeup = self.env.timeout_pooled(delay)
-        self._wakeup_pending = True
+        d._wakeup_pending = True
 
-        # The pool's wakeup body (drain, re-arm, deliver the drained
+        # The domain's wakeup body (drain, re-arm, deliver the drained
         # tasks' ``done`` callbacks inline): the slot's callback, which
         # every arming finds built.
-        body = self._wake._callbacks[0]
+        body = d._wake._callbacks[0]
 
         def _on_wakeup(ev) -> None:
-            if gen != self._gen:
+            if gen != self._gen[d]:
                 self.superseded += 1
                 return
             body(ev)
 
         wakeup.callbacks.append(_on_wakeup)
 
-    def _disarm(self) -> None:
-        self._gen += 1
-        self._wakeup_pending = False
+    def _disarm(self, d) -> None:
+        self._gen[d] = self._gen.get(d, 0) + 1
+        d._wakeup_pending = False
 
 
 class LiveEventLog(EventLoopProfiler):

@@ -7,12 +7,12 @@ stay, and the ``vector`` regime now checks the scalar floats against
 that numpy formulation, a test-only oracle.  :func:`regime_checks` runs
 a block with these checks:
 
-- in both regimes, after every reallocation and eviction, each
-  resident task sits in its slot (``pool._slot_task[t._slot] is t``)
-  and its ``rate``/``work`` read that slot; after a reallocation, the
-  completion wakeup is armed exactly at the earliest completion, ``now
-  + min(work / rate)`` over the tasks that progress, or disarmed when
-  none does (:func:`check_horizon`);
+- in both regimes, after every reallocation and eviction, each task
+  resident in the domain sits in its slot (``d._slot_task[t._slot] is
+  t``) and its ``rate``/``work`` read that slot; after a reallocation,
+  the domain's completion wakeup is armed exactly at its earliest
+  completion, ``now + min(work / rate)`` over the tasks that progress,
+  or disarmed when none does (:func:`check_horizon`);
 - in the ``vector`` regime also: every advance leaves each task the
   work ``w - min(r*dt, w)`` (zero once at or below its drain
   threshold), drains exactly the tasks numpy finds at or below it, and
@@ -40,18 +40,19 @@ from repro.sim.numerics import KahanSum
 REGIMES = [("vector", True), ("scalar", False)]
 
 
-def check_slots(pool: FluidPool) -> None:
-    """Assert the slot invariants of ``pool`` (see module docstring)."""
-    n = len(pool._slot_task)
-    assert len(pool._w) == len(pool._r) == len(pool._th) == n
-    for i, t in enumerate(pool._slot_task):
-        assert t._slot == i and t._pool is pool
-        assert t.rate == pool._r[i] and t.work == pool._w[i]
+def check_slots(d) -> None:
+    """Assert the slot invariants of the pool domain ``d`` (see module
+    docstring)."""
+    n = len(d._slot_task)
+    assert len(d._w) == len(d._r) == len(d._th) == n
+    for i, t in enumerate(d._slot_task):
+        assert t._slot == i and t._dom is d
+        assert t.rate == d._r[i] and t.work == d._w[i]
 
 
-def check_horizon(pool: FluidPool, in_frame: bool,
-                  numpy_oracle: bool = False) -> None:
-    """Assert ``pool``'s wakeup is armed at its earliest completion.
+def check_horizon(d, in_frame: bool, numpy_oracle: bool = False) -> None:
+    """Assert the pool domain ``d``'s wakeup is armed at its earliest
+    completion.
 
     The horizon is ``min(work / rate)`` over the tasks with a positive
     rate; when ``now`` plus it rounds to ``now``, the full scan wakes
@@ -59,14 +60,14 @@ def check_horizon(pool: FluidPool, in_frame: bool,
     frame (``in_frame``: a slot built before and every rate positive)
     arms it as computed and reaches the full scan when it fires.  With
     no positive rate the slot must be disarmed."""
-    env = pool.env
-    key = env._timers.get(pool._wake) if pool._wake is not None else None
-    assert (key is not None) == pool._wakeup_pending
-    horizon = min((w / r for w, r in zip(pool._w, pool._r) if r > 0.0),
+    env = d.pool.env
+    key = env._timers.get(d._wake) if d._wake is not None else None
+    assert (key is not None) == d._wakeup_pending
+    horizon = min((w / r for w, r in zip(d._w, d._r) if r > 0.0),
                   default=math.inf)
     if numpy_oracle and horizon < math.inf:
-        wa = np.array(pool._w)
-        ra = np.array(pool._r)
+        wa = np.array(d._w)
+        ra = np.array(d._r)
         pos = ra > 0.0
         assert float(np.min(wa[pos] / ra[pos])) == horizon
     if horizon == math.inf:
@@ -79,22 +80,23 @@ def check_horizon(pool: FluidPool, in_frame: bool,
     assert key is not None and key[0] == due
 
 
-def _advance_oracle(pool: FluidPool, advance, inline: bool):
-    """Run ``advance`` and check its floats against numpy."""
-    dt = pool.env._now - pool._last_update
-    tasks = list(pool._slot_task)
+def _advance_oracle(pool: FluidPool, d, advance, inline: bool):
+    """Run ``advance`` over domain ``d`` and check its floats against
+    numpy."""
+    dt = pool.env._now - d._last_update
+    tasks = list(d._slot_task)
     if dt <= 0 or not tasks:
-        return advance(pool, inline)
-    w = np.array(pool._w)
-    drained = np.minimum(np.array(pool._r) * dt, w)
+        return advance(pool, d, inline)
+    w = np.array(d._w)
+    drained = np.minimum(np.array(d._r) * dt, w)
     left = w - drained
-    done = left <= np.array(pool._th)
+    done = left <= np.array(d._th)
     left[done] = 0.0
     acc = pool._work_drained
     want = KahanSum(acc.value)
     want._comp = acc._comp
     want.add(float(np.add.accumulate(drained)[-1]))
-    finished = advance(pool, inline)
+    finished = advance(pool, d, inline)
     drained_tasks = sorted((t for t, d in zip(tasks, done.tolist()) if d),
                            key=lambda t: t._aseq)
     assert (finished or []) == drained_tasks
@@ -187,26 +189,27 @@ def regime_checks(numpy_oracle: bool):
     recompute = SimulatedGPU._recompute_group
     group_rates = device._group_rates
 
-    def checked_reallocate(pool):
+    def checked_reallocate(pool, d):
         # Only a fresh allocation arms in _reallocate's frame.
-        fresh = (pool._members_rev != pool._alloc_rev
-                 or pool._epoch != pool._alloc_epoch)
-        built = pool._wake is not None
-        reallocate(pool)
-        assert len(pool._slot_task) == len(pool._tasks)
-        for t in pool._tasks.values():
-            assert pool._slot_task[t._slot] is t
-        check_slots(pool)
-        check_horizon(pool, fresh and built
-                      and min(pool._r, default=0.0) > 0.0, numpy_oracle)
+        fresh = (d._members_rev != d._alloc_rev
+                 or pool._epoch != d._alloc_epoch)
+        built = d._wake is not None
+        reallocate(pool, d)
+        assert len(d._slot_task) == len(d._tasks)
+        for t in d._tasks.values():
+            assert d._slot_task[t._slot] is t
+        check_slots(d)
+        check_horizon(d, fresh and built
+                      and min(d._r, default=0.0) > 0.0, numpy_oracle)
 
     def checked_evict(pool, task):
+        d = task._dom
         evict(pool, task)
-        assert task._pool is None and task.rate == 0.0
-        check_slots(pool)
+        assert task._dom is None and task.rate == 0.0
+        check_slots(d)
 
-    def checked_advance(pool, inline=False):
-        return _advance_oracle(pool, advance, inline)
+    def checked_advance(pool, d, inline=False):
+        return _advance_oracle(pool, d, advance, inline)
 
     def checked_recompute(gpu, st):
         recompute(gpu, st)

@@ -87,7 +87,7 @@ def test_simultaneous_drains_deliver_in_admission_order():
     def on_done(ev):
         task = ev.value
         order.append((tasks.index(task), env.now, len(pool),
-                      pool._wakeup_pending, task.done.processed))
+                      pool.domain()._wakeup_pending, task.done.processed))
         if task is tasks[1]:
             env.timeout(0).callbacks.append(
                 lambda _ev: order.append(("after", env.now)))

@@ -314,7 +314,7 @@ def test_rates_live_in_pool_slots():
     assert [t.rate for t in tasks] == [4.0, 4.0, 4.0]
     # The rate is the slot: writing one writes the other.
     tasks[1].rate = 7.0
-    assert pool._r[tasks[1]._slot] == 7.0
+    assert pool.domain()._r[tasks[1]._slot] == 7.0
     # Evicting the first slot swap-moves the last task into it; rates
     # follow their tasks, and an evicted task reads zero.
     pool.cancel(tasks[0])
@@ -348,7 +348,8 @@ def _rated_pool(env, rates):
     pool = FluidPool(env, lambda tasks: [setattr(t, "rate", rates[t.meta])
                                          for t in tasks])
     tasks = [pool.add(FluidTask(env, work=10.0, meta=i)) for i in range(3)]
-    assert pool._wake is not None and pool._wakeup_pending
+    d = pool.domain()
+    assert d._wake is not None and d._wakeup_pending
     return pool, tasks
 
 
@@ -374,7 +375,7 @@ def test_rate_turning_zero_starves_only_that_task():
     assert a.done.processed and c.done.processed
     assert env.now == 10.0
     assert not b.done.triggered and b.work == 8.0 and b.rate == 0.0
-    assert not pool._wakeup_pending
+    assert not pool.domain()._wakeup_pending
     assert pool.work_drained == 22.0
 
 
@@ -385,8 +386,9 @@ def test_all_zero_rates_disarm_the_wakeup():
     env.run(until=1.0)
     rates[:] = [0.0, 0.0, 0.0]
     pool.poke()
-    assert not pool._wakeup_pending
-    assert pool._wake not in env._timers
+    d = pool.domain()
+    assert not d._wakeup_pending
+    assert d._wake not in env._timers
     env.run()
     assert env.now == 1.0
     assert [t.work for t in tasks] == [9.0, 8.0, 6.0]
