@@ -527,6 +527,16 @@ class SimulatedGPU:
                 "clients still attached"
             )
         self.groups.remove(group)
+        key = group.fluid_domain
+        if key is not None and not self._domains[key].fluid._tasks:
+            # Retire the instance's empty domain: its integrals carry
+            # over to the device domain's, so ``sm_seconds`` keeps
+            # counting them and reconfigurations do not pile up domains.
+            dom = self._domains.pop(key)
+            del self.pool._domains[key]
+            dev = self._domains[None]
+            dev.sm_seconds.add(dom.sm_seconds.value)
+            dev.bw_byte_seconds.add(dom.bw_byte_seconds.value)
         self.pool.poke()
 
     # -- kernel path ----------------------------------------------------------

@@ -5,7 +5,8 @@ reallocates that instance's domain only: another instance's stored work
 and armed wakeup stay bitwise as they were, and the allocator sees only
 the residents of the domain whose membership changed.  Wakeups of two
 domains that are due at the same instant fire in the order they were
-armed, each delivering its own completions.
+armed, each delivering its own completions.  A destroyed instance's
+domain is retired, its integrals carried over to the device domain.
 """
 
 from repro.gpu import A100_80GB, Kernel, MigManager, SimulatedGPU
@@ -105,3 +106,28 @@ def test_same_instant_completions_in_two_instances():
     assert order == [("a", t), ("b", t), ("timeout", t)]
     assert events == 3
     assert _same_instant_run() == (order, events)
+
+
+def test_destroyed_instances_leave_no_domain():
+    """Reconfiguring MIG retires the destroyed instances' domains; the
+    device's integrals keep counting their work."""
+    env = Environment()
+    gpu = SimulatedGPU(env, A100_80GB, cross_check=True)
+    manager = MigManager(gpu)
+    env.run(until=env.process(manager.enable()))
+    kernel = Kernel(flops=1e11, bytes_moved=1e9, max_sms=14)
+    for _ in range(3):
+        instances = env.run(until=env.process(
+            manager.reconfigure(["1g.10gb"] * 3)))
+        clients = [inst.enable_mps().client(f"c{i}")
+                   for i, inst in enumerate(instances)]
+        env.run(until=env.all_of([c.launch(kernel) for c in clients]))
+        assert len(gpu._domains) == len(gpu.pool._domains) == 4
+        before = gpu.sm_seconds
+        for c in clients:
+            c.close()
+    env.run(until=env.process(manager.reconfigure([])))
+    assert list(gpu._domains) == list(gpu.pool._domains) == [None]
+    assert before > 0.0
+    assert abs(gpu.sm_seconds - before) <= 1e-12 * before
+    assert gpu.kernels_completed == 9
