@@ -29,6 +29,9 @@ def _bits(values) -> list[str]:
 
 
 def test_events_in_one_instance_leave_the_other_untouched():
+    """An admission and a drain in instance A leave instance B's stored
+    work and armed wakeup bitwise unchanged; the allocator sees only
+    A's residents."""
     env = Environment()
     gpu = SimulatedGPU(env, A100_80GB, cross_check=True)
     a, b = _instances(env, gpu, 2)
