@@ -47,6 +47,12 @@ shared water level couples them: each domain's water-fill against the
 device bandwidth gives every instance its cap-limited demand, as one
 device-wide water-fill would.
 
+Two allocation paths: a domain whose residents form one cap-policy
+group (a MIG instance, flat MPS, time-sharing) takes the incremental
+path, which memoises that group's columns and splits; any other domain
+(a vGPU fair-share group, or two or more groups) takes the full
+recompute, the reference.
+
 Exactness: the incremental allocator reproduces the full recompute's
 floats exactly (``cross_check`` compares every allocation).  Every float
 sum on both paths is a left-to-right fold (``reduce(add, ..., 0.0)`` or
@@ -59,11 +65,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from bisect import insort
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add, attrgetter
+from operator import add
 from typing import Iterable, Optional
 
 from repro.sim.core import Environment, Event, SimulationError
@@ -308,42 +313,42 @@ class _GroupAllocState:
 
     The pool's membership hook creates the record at the group's first
     resident task, keeps its indexes current and drops it at the last;
-    the allocator recomputes the columns of *dirty* records only.  Every
-    cached float is exactly the value the full recompute would produce,
-    because it *is* that value — the cache memoises, never delta-updates.
+    the allocator recomputes a record's columns only when it is *dirty*.
+    Every cached float is exactly the value the full recompute would
+    produce, because it *is* that value — the cache memoises, never
+    delta-updates.  Records are kept for every group, so a domain knows
+    when it holds one cap-policy group again; the allocator reads only
+    that group's.
     """
 
-    __slots__ = ("group", "dom", "res", "first", "counts", "repeats",
-                 "dirty", "budget", "overhead", "gcap", "gdemand", "cols",
-                 "share", "split", "kclass", "cls")
+    __slots__ = ("group", "dom", "res", "counts", "repeats", "dirty",
+                 "budget", "overhead", "gcap", "cols", "share", "split",
+                 "kclass", "cls")
 
     def __init__(self, group: ShareGroup, dom: "_AllocDomain") -> None:
         self.group = group
         # The group's fluid domain.
         self.dom = dom
         # Resident tasks (tid -> task) in admission order, tasks per
-        # client (keyed by the client), and clients with more than one: while that is zero the
-        # MPS aggregate-cap shrink cannot fire (and the memo applies).
+        # client (keyed by the client), and clients with more than one:
+        # while that is zero the MPS aggregate-cap shrink cannot fire
+        # (and the memo applies).
         self.res: dict[int, FluidTask] = {}
-        # The group-order key: the pool admission sequence of the
-        # earliest resident task (the hook sets it on every change).
-        self.first = -1
         self.counts: dict[GpuClient, int] = {}
         self.repeats = 0
         # Membership changed, or the solo path bypassed the columns.
         self.dirty = False
         # Capacity: SM budget, compute overhead factor and bandwidth
-        # cap.  They move only in a full round (a poke or a fair-count
-        # change), which re-derives them (SimulatedGPU._set_capacity),
-        # as the hook does when it creates the record.
+        # cap.  They move only in a full round (after a poke), which
+        # re-derives them (SimulatedGPU._set_capacity), as the hook does
+        # when it creates the record.
         self.budget = -1.0
         self.overhead = 0.0
         self.gcap = 0.0
-        # Cap-limited bandwidth demand (group-level waterfill input).
-        self.gdemand = 0.0
         # The columns (a memo entry) and the split last written for
-        # them at group share ``share`` (``None``: columns replaced, so
-        # the rates pass must rerun): ``(bw_list, bw_sum, rates)``.
+        # them at group share ``share`` (``None``: columns replaced, or
+        # a full recompute wrote the rates, so the rates pass must
+        # rerun): ``(bw_list, bw_sum, rates)``.
         self.cols: Optional[_Columns] = None
         self.share: Optional[float] = None
         self.split: tuple = ((), 0.0, ())
@@ -359,40 +364,36 @@ class _AllocDomain:
     """The allocator's state for one fluid domain of the device.
 
     The membership hook keeps (incremental mode only) the domain's
-    records in the full path's group order (that of each group's first
-    resident task, kept by insertion), its dirty records and its number
-    of fair-policy groups.  A poke bumps the pool epoch; a new epoch, or
-    a fair-count change since the domain's last pass, makes its next
-    pass a full round (every record revisited; a solo pass defers it).
-    Both paths keep the domain's allocation totals and integrate them
-    over time (compensated sums: at millions of kernel events the naive
-    float accumulation drifts enough to fail conservation checks).
+    records and ``single``: its one record when the domain holds exactly
+    one cap-policy group, the incremental path's case, else ``None``.  A
+    poke bumps the pool epoch; a new epoch since the domain's last
+    incremental pass makes its next one a full round (the record's
+    capacity re-derived; a solo pass defers it).  Every path keeps the
+    domain's allocation totals and integrates them over time
+    (compensated sums: at millions of kernel events the naive float
+    accumulation drifts enough to fail conservation checks).
     """
 
-    __slots__ = ("fluid", "ordered", "dirty", "n_fair", "seen_epoch",
-                 "fair_moved", "was_contended", "cur_sm", "cur_bw", "t0",
-                 "sm_seconds", "bw_byte_seconds")
+    __slots__ = ("fluid", "records", "single", "seen_epoch", "cur_sm",
+                 "cur_bw", "t0", "sm_seconds", "bw_byte_seconds")
 
     def __init__(self, fluid, now: float) -> None:
         # The pool's domain: its residents and rate slots.
         self.fluid = fluid
-        self.ordered: list[_GroupAllocState] = []
-        self.dirty: list[_GroupAllocState] = []
-        self.n_fair = 0
+        self.records: list[_GroupAllocState] = []
+        self.single: Optional[_GroupAllocState] = None
         self.seen_epoch = -1
-        self.fair_moved = False
-        # Whether the last pass water-filled the group shares (see the
-        # rates pass of _allocate_incremental).
-        self.was_contended = True
         self.cur_sm = 0.0
         self.cur_bw = 0.0
         self.t0 = now
         self.sm_seconds = KahanSum()
         self.bw_byte_seconds = KahanSum()
 
-
-#: Sort key of the group order (see ``_GroupAllocState.first``).
-_first_admission = attrgetter("first")
+    def regroup(self) -> None:
+        """Re-derive ``single`` after a record joined or left."""
+        records = self.records
+        self.single = (records[0] if len(records) == 1
+                       and records[0].group.sm_policy == "cap" else None)
 
 
 class SimulatedGPU:
@@ -405,9 +406,10 @@ class SimulatedGPU:
     Parameters
     ----------
     incremental:
-        Reuse per-group allocation state across membership changes (the
-        default).  Results are bit-identical to the full recompute; set
-        ``False`` to force the original full path on every change.
+        Reuse a one-group domain's allocation state across membership
+        changes (the default).  Results are bit-identical to the full
+        recompute, which every other domain takes; set ``False`` to
+        force the full path on every change.
     cross_check:
         Run *both* paths on every allocation and raise
         :class:`AllocatorMismatch` on any difference (debug mode; also
@@ -446,8 +448,8 @@ class SimulatedGPU:
             cross_check = os.environ.get("REPRO_ALLOC_CHECK", "") not in ("", "0")
         self.cross_check = cross_check
         # Kept by the pool's membership hook (incremental mode only):
-        # one allocation record per resident group (gid -> record); each
-        # record's domain keeps the group order and the dirty list.
+        # one allocation record per resident group (gid -> record), each
+        # also listed by its domain.
         self._groups: dict[int, _GroupAllocState] = {}
         # Allocation memo.  Groups of identical replicas recur with the
         # same contents, so a dirty group's SM/demand columns are looked
@@ -471,12 +473,14 @@ class SimulatedGPU:
         #: Allocator invocations (every admit/complete/poke that changed
         #: the resident set or external capacity).
         self.alloc_calls = 0
-        #: Full per-group demand recomputations (dirty groups).
+        #: Incremental passes that recomputed their group's columns
+        #: (the group was dirty).
         self.alloc_group_recomputes = 0
         #: Dirty groups whose columns came from the allocation memo
         #: (a subset of ``alloc_group_recomputes``).
         self.alloc_memo_hits = 0
-        #: Groups served entirely from cached state.
+        #: Incremental passes that kept their group's columns (a poke
+        #: that left the group's membership and capacity unchanged).
         self.alloc_group_reuses = 0
         #: Single-resident-kernel fast-path hits.
         self.alloc_fast_path = 0
@@ -555,18 +559,15 @@ class SimulatedGPU:
     def _on_complete(self, ev: Event) -> None:
         if ev._ok:
             self.kernels_completed += 1
-            domains = (self._domains[ev._value.domain],)
-        else:
-            # A killed kernel: its task is not at hand, so look at
-            # every domain.
-            domains = self._domains.values()
-        for dom in domains:
+            dom = self._domains[ev._value.domain]
             if not dom.fluid._tasks:
-                # The domain's allocator will not be called again until
-                # new work arrives; close its utilization integral now.
-                self._integrate_domain(dom)
-                dom.cur_sm = 0.0
-                dom.cur_bw = 0.0
+                self._close_domain(dom)
+            return
+        # A killed kernel: its task is not at hand, so look at every
+        # domain.
+        for dom in self._domains.values():
+            if not dom.fluid._tasks:
+                self._close_domain(dom)
 
     # -- utilization ------------------------------------------------------------
     def _integrate(self) -> None:
@@ -579,6 +580,13 @@ class SimulatedGPU:
             dom.sm_seconds.add(dom.cur_sm * dt)
             dom.bw_byte_seconds.add(dom.cur_bw * dt)
         dom.t0 = self.env.now
+
+    def _close_domain(self, dom: "_AllocDomain") -> None:
+        """An empty domain's allocator will not be called again until
+        new work arrives: close its utilization integral now."""
+        self._integrate_domain(dom)
+        dom.cur_sm = 0.0
+        dom.cur_bw = 0.0
 
     def sm_utilization(self, since: float = 0.0) -> float:
         """Mean SM utilization in [0,1] from ``since`` until now."""
@@ -594,13 +602,9 @@ class SimulatedGPU:
         group's record in sync with the pool and mark it dirty.
 
         Residency dicts keep admission order, the full path's iteration
-        contract.  The domain's ``ordered`` stays sorted by first
-        admission as it goes: a new group sorts last (its first task is
-        the newest admission), a vanished one just leaves, and a
-        surviving group that loses its first task is the only record
-        that can move — it is re-inserted by its new key.  A cap-policy
-        group's tasks are classified here, from the class cache when it
-        holds the entry.
+        contract.  A record that joins or leaves its domain re-derives
+        the domain's ``single``.  Tasks are classified here, from the
+        class cache when it holds the entry.
         """
         client = task.meta["client"]
         group: ShareGroup = client.group
@@ -611,28 +615,23 @@ class SimulatedGPU:
             if st is None:
                 dom = self._domains[group.fluid_domain]
                 st = self._groups[gid] = _GroupAllocState(group, dom)
-                st.first = task._aseq
-                dom.ordered.append(st)
-                if group.sm_policy == "fair":
-                    dom.n_fair += 1
-                    dom.fair_moved = True
+                dom.records.append(st)
+                dom.regroup()
                 self._set_capacity(st)
             st.res[tid] = task
             counts = st.counts
             c = counts[client] = counts.get(client, 0) + 1
             if c == 2:
                 st.repeats += 1
-            if group.sm_policy == "cap":
-                entry = self._kcache.get(
-                    (task.meta["kernel"].kid, client._sm_cap, st.budget))
-                if entry is None:
-                    self._classify(st, task)
-                else:
-                    st.kclass[tid] = entry
-                    st.cls[tid] = entry[2]
+            entry = self._kcache.get(
+                (task.meta["kernel"].kid, client._sm_cap, st.budget))
+            if entry is None:
+                self._classify(st, task)
+            else:
+                st.kclass[tid] = entry
+                st.cls[tid] = entry[2]
         else:
             res = st.res
-            first = st.first == task._aseq
             del res[tid]
             counts = st.counts
             c = counts[client] - 1
@@ -647,22 +646,10 @@ class SimulatedGPU:
             if not res:
                 del self._groups[gid]
                 dom = st.dom
-                dom.ordered.remove(st)
-                if st.dirty:
-                    dom.dirty.remove(st)
-                if group.sm_policy == "fair":
-                    dom.n_fair -= 1
-                    dom.fair_moved = True
+                dom.records.remove(st)
+                dom.regroup()
                 return
-            if first:
-                st.first = next(iter(res.values()))._aseq
-                ordered = st.dom.ordered
-                if len(ordered) > 1:
-                    ordered.remove(st)
-                    insort(ordered, st, key=_first_admission)
-        if not st.dirty:
-            st.dirty = True
-            st.dom.dirty.append(st)
+        st.dirty = True
 
     def _classify(self, st: _GroupAllocState, t: FluidTask) -> None:
         """Cache ``t``'s SM demand under the record's budget, its kernel
@@ -694,26 +681,19 @@ class SimulatedGPU:
         st.kclass[t.tid] = entry
         st.cls[t.tid] = entry[2]
 
-    def _capacity(self, group: ShareGroup,
-                  n_fair: int) -> tuple[float, float, float]:
-        """``(SM budget, overhead factor, bandwidth cap)`` of a resident
-        group: the full path's derivation, at its domain's fair count
-        ``n_fair``."""
-        spec = self.spec
-        cap = group.effective_bw_cap
-        if group.sm_policy == "fair":
-            budget = spec.sms / n_fair if n_fair else 0.0
-            cap = min(cap, spec.bandwidth / max(1, n_fair))
-        else:
-            budget = float(group.sm_budget)
-        return budget, group.overhead_factor, cap
+    @staticmethod
+    def _capacity(group: ShareGroup) -> tuple[float, float, float]:
+        """``(SM budget, overhead factor, bandwidth cap)`` of a
+        cap-policy group: the full path's derivation.  (A fair-policy
+        group's record gets these too; no pass reads them.)"""
+        return (float(group.sm_budget), group.overhead_factor,
+                group.effective_bw_cap)
 
     def _set_capacity(self, st: _GroupAllocState) -> bool:
         """Re-derive ``st``'s capacity fields; returns whether its budget
         or overhead moved (its columns or rates must then be redone).  A
         new budget drops the task classes, which depend on it."""
-        budget, overhead, st.gcap = self._capacity(st.group,
-                                                   st.dom.n_fair)
+        budget, overhead, st.gcap = self._capacity(st.group)
         moved = False
         if st.budget != budget:
             st.kclass.clear()
@@ -729,9 +709,11 @@ class SimulatedGPU:
         """FluidPool callback: divide SMs and bandwidth over ``tasks``,
         the residents of one fluid domain.
 
-        Dispatches to the incremental path (per-group memoisation, solo
-        fast path) or the original full recompute.  Both produce
-        bit-identical rates; ``cross_check`` runs both and compares.
+        A domain of one cap-policy group takes the incremental path
+        (the solo fast path for one resident, else the memoised pass);
+        any other domain, and every domain when ``incremental`` is off,
+        takes the full recompute.  The paths produce bit-identical
+        rates; ``cross_check`` compares every allocation.
         """
         self.alloc_calls += 1
         for first in tasks:
@@ -753,23 +735,26 @@ class SimulatedGPU:
             acc._comp = (s - acc.value) - y
             acc.value = s
         dom.t0 = now
-        if self.incremental:
-            if len(tasks) == 1:
-                self._allocate_solo(first, dom)
-            else:
-                self._allocate_incremental(dom)
-            if self.cross_check:
-                self._verify_against_full(tasks, dom)
-        else:
-            sm_alloc, bw_alloc, rates, total_sm, total_bw = \
-                self._compute_full(tasks)
+        st = dom.single
+        if st is None:
+            _, _, rates, dom.cur_sm, dom.cur_bw = self._compute_full(tasks)
             for t in tasks:
                 t.rate = rates[t.tid]
-            dom.cur_sm = total_sm
-            dom.cur_bw = total_bw
+            # The rates just written were split across groups: a record
+            # left alone later must rerun its rates pass.
+            for rec in dom.records:
+                rec.share = None
+        elif len(tasks) == 1:
+            self._allocate_solo(first, st, dom)
+        else:
+            self._allocate_incremental(st, dom)
+        if self.cross_check and self.incremental:
+            self._verify_against_full(tasks, dom)
 
-    def _allocate_solo(self, t: FluidTask, dom: _AllocDomain) -> None:
-        """One resident kernel: the water level is trivial.
+    def _allocate_solo(self, t: FluidTask, st: _GroupAllocState,
+                       dom: _AllocDomain) -> None:
+        """One resident kernel of a cap-policy group: the water level is
+        trivial.
 
         Replicates the full path's arithmetic *exactly* (same operations
         in the same order) so the result is bit-identical; the derivation
@@ -780,16 +765,12 @@ class SimulatedGPU:
         client: GpuClient = t.meta["client"]
         kernel: Kernel = t.meta["kernel"]
         group = client.group
-        fair = group.sm_policy == "fair"
-        budget = spec.sms / 1 if fair else float(group.sm_budget)
+        budget = float(group.sm_budget)
         # SM demand: a single kernel is never shrunk by its client's
         # aggregate cap (the demand already honours ``sm_cap``).
         demand = float(min(kernel.max_sms, client.sm_cap, budget))
         scale = min(1.0, budget / demand) if demand > 0 else 0.0
         sms = demand * scale
-        cap = group.effective_bw_cap
-        if fair:
-            cap = min(cap, spec.bandwidth / 1)
         if kernel.bytes_moved == 0:
             bwd = 0.0
         elif kernel.flops > 0:
@@ -801,7 +782,7 @@ class SimulatedGPU:
             bwd = float("inf")
         # Hierarchical waterfill with one group holding one task
         # collapses to min(demand, group cap, device bandwidth).
-        bw = min(bwd, cap, spec.bandwidth)
+        bw = min(bwd, group.effective_bw_cap, spec.bandwidth)
         rate_c = float("inf")
         if kernel.flops > 0:
             rate_c = (
@@ -814,105 +795,52 @@ class SimulatedGPU:
         dom.fluid._r[t._slot] = 0.0 if rate == float("inf") else rate
         # The record's columns no longer describe the rate just written:
         # mark it dirty so the next incremental pass recomputes it.
-        st = self._groups[group.gid]
-        if not st.dirty:
-            st.dirty = True
-            dom.dirty.append(st)
+        st.dirty = True
         dom.cur_sm = sms
         dom.cur_bw = bw
 
-    def _allocate_incremental(self, dom: _AllocDomain) -> None:
-        """Memoised allocation of one domain: recompute only dirty groups.
+    def _allocate_incremental(self, st: _GroupAllocState,
+                              dom: _AllocDomain) -> None:
+        """Memoised allocation of a domain holding one cap-policy group,
+        whose record is ``st``.
 
-        A record is *dirty* when its membership changed since the last
-        pass or the solo path bypassed it.  A *full round* (after a poke
-        or a fair-count change) re-derives every record's capacity and
-        recomputes those whose budget or overhead moved; otherwise
-        capacity is as the last full round (or the record's creation)
-        left it.  A split is redone when the group-level waterfill moved
-        the group's share.  Clean groups keep the rates in their tasks'
-        pool slots.  Every reused float is the exact value a full
-        recompute would produce (enforced by ``cross_check`` and the
-        property tests).
+        The group's columns are recomputed (or looked up in the memo)
+        only when it is dirty: its membership changed since the last
+        pass, or the solo path bypassed it.  A *full round* (the first
+        pass after a poke) re-derives the record's capacity and marks it
+        dirty if its budget or overhead moved; otherwise capacity is as
+        the last full round (or the record's creation) left it.  The
+        split is redone when the group's share moved.  Every reused
+        float is the exact value a full recompute would produce
+        (enforced by ``cross_check`` and the property tests).
         """
-        ordered = dom.ordered
-        dirty = dom.dirty
         pool_epoch = self.pool._epoch
-        full_round = pool_epoch != dom.seen_epoch or dom.fair_moved
-        if full_round:
+        if pool_epoch != dom.seen_epoch:
             dom.seen_epoch = pool_epoch
-            dom.fair_moved = False
-            for st in ordered:
-                if self._set_capacity(st) and not st.dirty:
-                    st.dirty = True
-                    dirty.append(st)
-            stale = ordered
+            if self._set_capacity(st):
+                st.dirty = True
+        if st.dirty:
+            st.dirty = False
+            self.alloc_group_recomputes += 1
+            # Every task classified and no repeated client: the memo
+            # key is at hand.  Any other case, or a miss, is
+            # _recompute_group's.
+            hit = None
+            if not st.repeats and len(st.cls) == len(st.res):
+                hit = self._memo.get((st.budget, *st.cls.values()))
+            if hit is None:
+                self._recompute_group(st)
+            else:
+                self.alloc_memo_hits += 1
+                st.cols = hit
+            st.share = None  # new columns: the rates pass must rerun
         else:
-            stale = dirty  # usually one record
-
-        memo = self._memo
-        hits = 0
-        for st in stale:
-            if st.dirty:
-                # Every task classified and no repeated client: the memo
-                # key is at hand.  Any other case, or a miss, is
-                # _recompute_group's.
-                hit = None
-                if not st.repeats and len(st.cls) == len(st.res):
-                    hit = memo.get((st.budget, *st.cls.values()))
-                if hit is None:
-                    self._recompute_group(st)
-                else:
-                    hits += 1
-                    st.cols = hit
-                st.share = None  # new columns: the rates pass must rerun
-            # min(demand, cap), inline.
-            gdemand = st.cols.bw_demand_sum
-            gcap = st.gcap
-            st.gdemand = gcap if gcap < gdemand else gdemand
-        recomputed = len(dirty)
-        self.alloc_group_recomputes += recomputed
-        self.alloc_memo_hits += hits
-        self.alloc_group_reuses += len(ordered) - recomputed
-
-        # Group-level waterfill always reruns: any group's demand change
-        # moves the shared water level.  O(#groups), not O(#tasks).
-        # The demand sum accumulates in first-task group order — the
-        # same sequence of adds the full path's dict-ordered sum runs.
-        # Uncontended fast path (_fits, inline): when the demand sum
-        # sits safely below the device bandwidth the waterfill provably
-        # hands every group exactly its (already cap-limited) demand.
-        demand_sum = 0.0
-        for st in ordered:
-            demand_sum += st.gdemand
-        bandwidth = self.spec.bandwidth
-        contended = not bandwidth - demand_sum > bandwidth * _FIT_MARGIN
-        if contended:
-            # The waterfill iterates its demand dict; build both inputs
-            # in the contract (first-task) order.
-            group_share = _waterfill({st: st.gdemand for st in ordered},
-                                     {st: st.gcap for st in ordered},
-                                     bandwidth)
-        else:
-            group_share = None
-
-        # While consecutive passes stay uncontended every clean group's
-        # share equals its (unchanged) demand and its rates are already
-        # exact, so only the stale groups need the rates pass.  Any
-        # contended pass — or the first uncontended one after it — can
-        # move a clean group's share, so those visit every group.
-        if contended or dom.was_contended or full_round:
-            visit = ordered
-        else:
-            visit = stale
-        dom.was_contended = contended
-
-        slots = dom.fluid._r
-        for st in visit:
-            gs = group_share[st] if group_share is not None else st.gdemand
-            if st.share == gs:
-                continue  # same split as last time: rates already exact
-            cols = st.cols
+            self.alloc_group_reuses += 1
+        cols = st.cols
+        # The device-level waterfill of one group, exactly: its demand,
+        # limited by its cap, then by the device bandwidth.
+        gs = min(cols.bw_demand_sum, st.gcap, self.spec.bandwidth)
+        if st.share != gs:
             rmemo = cols.rmemo
             key = (gs, st.overhead)
             split = rmemo.get(key) if rmemo is not None else None
@@ -925,22 +853,11 @@ class SimulatedGPU:
             st.share = gs
             # The columns mirror the residency dict, so rates align with
             # its tasks; each lands straight in the task's pool slot.
+            slots = dom.fluid._r
             for t, r in zip(st.res.values(), split[2]):
                 slots[t._slot] = r
-        for st in dirty:
-            st.dirty = False
-        dirty.clear()
-
-        # Device totals: sum the per-group subtotals in group order —
-        # the same grouping and order the full path uses — so a clean
-        # group costs O(1) here instead of an O(#tasks) re-walk.
-        total_sm = 0.0
-        total_bw = 0.0
-        for st in ordered:
-            total_sm += st.cols.sm_sum
-            total_bw += st.split[1]
-        dom.cur_sm = total_sm
-        dom.cur_bw = total_bw
+        dom.cur_sm = cols.sm_sum
+        dom.cur_bw = st.split[1]
 
     def _memo_room(self) -> None:
         """Account for one memo insert, clearing the memo when full."""
@@ -970,13 +887,11 @@ class SimulatedGPU:
         budget = st.budget
         kclass = st.kclass
         group_tasks = st.res.values()
-        if len(kclass) != len(group_tasks):
-            # Unclassified tasks (a fair-policy group's admissions since
-            # its last recompute, or all after a budget change) are a
-            # suffix of the residency order: the classes stay aligned.
+        if not kclass:
+            # A budget change dropped every class (the hook classifies
+            # each admission): classify in residency order.
             for t in group_tasks:
-                if t.tid not in kclass:
-                    self._classify(st, t)
+                self._classify(st, t)
         work = [d for d, _, _ in kclass.values()]
         kinfo = tuple([ki for _, ki, _ in kclass.values()])
         no_repeats = st.repeats == 0
@@ -1173,10 +1088,11 @@ class SimulatedGPU:
                 f"sm {dom.cur_sm!r} != {total_sm!r} or "
                 f"bw {dom.cur_bw!r} != {total_bw!r}"
             )
-        for st in dom.ordered:
-            if st.dirty:
-                continue  # solo path wrote the rate; columns are stale
-            # Allocation columns are positional in residency order.
+        st = dom.single
+        if st is not None and not st.dirty:
+            # An incremental pass (a solo pass leaves the record dirty:
+            # the columns it bypassed are stale).  Allocation columns
+            # are positional in residency order.
             sm_list = st.cols.sm_list
             bw_list = st.split[0]
             for i, t in enumerate(st.res.values()):
@@ -1199,23 +1115,26 @@ class SimulatedGPU:
             if not ok:
                 raise AllocatorMismatch(f"{self.name}: stale index: {what}")
 
-        want = list(by_group)
-        got = [st.group.gid for st in dom.ordered]
+        want = sorted(by_group)
+        got = sorted(st.group.gid for st in dom.records)
         check(got == want
               and sum(st.dom is dom for st in self._groups.values())
               == len(want),
-              f"group order {got} != first-resident order {want}")
-        check(dom.n_fair == sum(st.group.sm_policy == "fair"
-                                for st in dom.ordered), "fair count")
-        check(sorted(map(id, dom.dirty))
-              == sorted(id(st) for st in dom.ordered if st.dirty),
-              "dirty list")
+              f"records {got} != resident groups {want}")
+        single = dom.single
+        dom.regroup()  # a recount from the records just checked
+        check(dom.single is single, "single-group record")
+        if single is None:
+            # A full recompute wrote the rates: no record may skip its
+            # next rates pass on a share from before it.
+            check(all(st.share is None for st in dom.records),
+                  "share after a full recompute")
         # Capacity fields move only in a full round: unless the next
         # pass is one, each record's must be what the group gives now.
-        if self.pool._epoch == dom.seen_epoch and not dom.fair_moved:
-            for st in dom.ordered:
+        if self.pool._epoch == dom.seen_epoch:
+            for st in dom.records:
                 check((st.budget, st.overhead, st.gcap)
-                      == self._capacity(st.group, dom.n_fair),
+                      == self._capacity(st.group),
                       f"capacity of {st.group.name!r}")
         owner: dict[int, tuple] = {}
         for gid, ts in by_group.items():
@@ -1224,19 +1143,15 @@ class SimulatedGPU:
             counts = dict(Counter(t.meta["client"] for t in ts))
             check(st.dom is self._domains[st.group.fluid_domain]
                   and list(st.res) == tids and st.counts == counts
-                  and st.repeats == sum(c > 1 for c in counts.values())
-                  and st.first == ts[0]._aseq,
+                  and st.repeats == sum(c > 1 for c in counts.values()),
                   f"residency of {st.group.name!r}")
-            # Classified tasks are a prefix of the residency order (all
-            # of it for a cap-policy group), and each class id names
-            # exactly the task's (demand, kernel constants): ids are
-            # never reused, and a class re-interned after a memo clear
-            # only gets a newer one.
-            n = len(st.cls)
-            check(list(st.cls) == list(st.kclass) == tids[:n]
-                  and (n == len(ts) or st.group.sm_policy == "fair"),
+            # Every task is classified, in residency order, and each
+            # class id names exactly the task's (demand, kernel
+            # constants): ids are never reused, and a class re-interned
+            # after a memo clear only gets a newer one.
+            check(list(st.cls) == list(st.kclass) == tids,
                   f"classes of {st.group.name!r}")
-            for t in ts[:n]:
+            for t in ts:
                 k: Kernel = t.meta["kernel"]
                 key = (float(min(k.max_sms, t.meta["client"].sm_cap,
                                  st.budget)),
@@ -1262,8 +1177,8 @@ def _group_rates(cols: _Columns, gs: float, overhead: float):
     memo can store the result under ``(gs, overhead)``.
     """
     bwd_list = cols.bwd_list
-    # Same fast path as between groups: a demand sum safely below the
-    # group share means every task gets its full demand.  (When
+    # Fast path: a demand sum safely below the group share means every
+    # task gets its full demand.  (When
     # bandwidth is uncontended gs *equals* the demand sum, so this
     # intentionally falls through to the exact loop — equality is
     # inside the drift margin.)
