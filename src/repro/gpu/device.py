@@ -260,7 +260,8 @@ class GpuClient:
     # -- kernels ------------------------------------------------------------
     def launch(self, kernel: Kernel) -> Event:
         """Submit a kernel; the returned event fires on completion."""
-        self._check_alive()
+        if not self._alive:
+            raise RuntimeError(f"client {self.name!r} has been closed")
         self.kernels_launched += 1
         return self.device.submit(self, kernel)
 
@@ -318,7 +319,9 @@ class _GroupAllocState:
     produce, because it *is* that value — the cache memoises, never
     delta-updates.  Records are kept for every group, so a domain knows
     when it holds one cap-policy group again; the allocator reads only
-    that group's.
+    that group's.  The record's per-task lists follow its residency
+    order, which for the domain's one group is the domain's column
+    order.
     """
 
     __slots__ = ("group", "dom", "res", "counts", "repeats", "dirty",
@@ -329,11 +332,11 @@ class _GroupAllocState:
         self.group = group
         # The group's fluid domain.
         self.dom = dom
-        # Resident tasks (tid -> task) in admission order, tasks per
-        # client (keyed by the client), and clients with more than one:
-        # while that is zero the MPS aggregate-cap shrink cannot fire
-        # (and the memo applies).
-        self.res: dict[int, FluidTask] = {}
+        # Resident tasks in admission order, tasks per client (keyed by
+        # the client), and clients with more than one: while that is
+        # zero the MPS aggregate-cap shrink cannot fire (and the memo
+        # applies).
+        self.res: list[FluidTask] = []
         self.counts: dict[GpuClient, int] = {}
         self.repeats = 0
         # Membership changed, or the solo path bypassed the columns.
@@ -354,10 +357,9 @@ class _GroupAllocState:
         self.split: tuple = ((), 0.0, ())
         # Per-task classes in residency order, under ``budget``: the
         # class-cache entry ``(SM demand, kernel constants, class id)``
-        # and the class id alone, so the ordered ids (the memo key)
-        # are one ``values()`` away.
-        self.kclass: dict[int, tuple] = {}
-        self.cls: dict[int, int] = {}
+        # and the class id alone, so the memo key is ``(budget, *cls)``.
+        self.kclass: list[tuple] = []
+        self.cls: list[int] = []
 
 
 class _AllocDomain:
@@ -532,7 +534,7 @@ class SimulatedGPU:
             )
         self.groups.remove(group)
         key = group.fluid_domain
-        if key is not None and not self._domains[key].fluid._tasks:
+        if key is not None and not self._domains[key].fluid._slot_task:
             # Retire the instance's empty domain: its integrals carry
             # over to the device domain's, so ``sm_seconds`` keeps
             # counting them and reconfigurations do not pile up domains.
@@ -545,8 +547,7 @@ class SimulatedGPU:
 
     # -- kernel path ----------------------------------------------------------
     def submit(self, client: GpuClient, kernel: Kernel) -> Event:
-        task = FluidTask(self.env, work=1.0,
-                         meta={"client": client, "kernel": kernel})
+        task = FluidTask(self.env, 1.0, {"client": client, "kernel": kernel})
         task.done.callbacks.append(self._on_complete)
         group = client.group
         task.domain = group.fluid_domain
@@ -560,13 +561,13 @@ class SimulatedGPU:
         if ev._ok:
             self.kernels_completed += 1
             dom = self._domains[ev._value.domain]
-            if not dom.fluid._tasks:
+            if not dom.fluid._slot_task:
                 self._close_domain(dom)
             return
         # A killed kernel: its task is not at hand, so look at every
         # domain.
         for dom in self._domains.values():
-            if not dom.fluid._tasks:
+            if not dom.fluid._slot_task:
                 self._close_domain(dom)
 
     # -- utilization ------------------------------------------------------------
@@ -601,16 +602,15 @@ class SimulatedGPU:
         """FluidPool membership hook (incremental mode only): keep the
         group's record in sync with the pool and mark it dirty.
 
-        Residency dicts keep admission order, the full path's iteration
-        contract.  A record that joins or leaves its domain re-derives
-        the domain's ``single``.  Tasks are classified here, from the
-        class cache when it holds the entry.
+        Residency lists keep admission order, the pool's column order.
+        A record that joins or leaves its domain re-derives the domain's
+        ``single``.  Tasks are classified here, from the class cache
+        when it holds the entry.
         """
         client = task.meta["client"]
         group: ShareGroup = client.group
         gid = group.gid
         st = self._groups.get(gid)
-        tid = task.tid
         if added:
             if st is None:
                 dom = self._domains[group.fluid_domain]
@@ -618,7 +618,7 @@ class SimulatedGPU:
                 dom.records.append(st)
                 dom.regroup()
                 self._set_capacity(st)
-            st.res[tid] = task
+            st.res.append(task)
             counts = st.counts
             c = counts[client] = counts.get(client, 0) + 1
             if c == 2:
@@ -628,11 +628,12 @@ class SimulatedGPU:
             if entry is None:
                 self._classify(st, task)
             else:
-                st.kclass[tid] = entry
-                st.cls[tid] = entry[2]
+                st.kclass.append(entry)
+                st.cls.append(entry[2])
         else:
             res = st.res
-            del res[tid]
+            i = res.index(task)
+            del res[i], st.kclass[i], st.cls[i]
             counts = st.counts
             c = counts[client] - 1
             if c:
@@ -641,8 +642,6 @@ class SimulatedGPU:
                     st.repeats -= 1
             else:
                 del counts[client]
-            st.kclass.pop(tid, None)
-            st.cls.pop(tid, None)
             if not res:
                 del self._groups[gid]
                 dom = st.dom
@@ -652,8 +651,9 @@ class SimulatedGPU:
         st.dirty = True
 
     def _classify(self, st: _GroupAllocState, t: FluidTask) -> None:
-        """Cache ``t``'s SM demand under the record's budget, its kernel
-        constants and its interned kernel-class id.
+        """Append ``t``'s SM demand under the record's budget, its kernel
+        constants and its interned kernel-class id to the record's
+        classes (``t`` is the next task in residency order).
 
         The triple depends only on the kernel (an immutable value named
         by its ``kid``), the client's SM cap and the budget, so it is
@@ -678,8 +678,8 @@ class SimulatedGPU:
             if len(self._kcache) >= _MEMO_MAX:
                 self._kcache.clear()
             entry = self._kcache[ckey] = (demand, ki, c)
-        st.kclass[t.tid] = entry
-        st.cls[t.tid] = entry[2]
+        st.kclass.append(entry)
+        st.cls.append(entry[2])
 
     @staticmethod
     def _capacity(group: ShareGroup) -> tuple[float, float, float]:
@@ -705,9 +705,10 @@ class SimulatedGPU:
             moved = True
         return moved
 
-    def _allocate(self, tasks: Iterable[FluidTask]) -> None:
+    def _allocate(self, tasks: list[FluidTask]) -> None:
         """FluidPool callback: divide SMs and bandwidth over ``tasks``,
-        the residents of one fluid domain.
+        the residents of one fluid domain in admission order (its slot
+        column order: every path writes the rates as one column).
 
         A domain of one cap-policy group takes the incremental path
         (the solo fast path for one resident, else the memoised pass);
@@ -716,8 +717,7 @@ class SimulatedGPU:
         rates; ``cross_check`` compares every allocation.
         """
         self.alloc_calls += 1
-        for first in tasks:
-            break
+        first = tasks[0]
         dom = self._domains[first.domain]
         # _integrate_domain, inline: the same Kahan steps applied in
         # place to the domain's two compensated sums.
@@ -738,8 +738,7 @@ class SimulatedGPU:
         st = dom.single
         if st is None:
             _, _, rates, dom.cur_sm, dom.cur_bw = self._compute_full(tasks)
-            for t in tasks:
-                t.rate = rates[t.tid]
+            dom.fluid._r[:] = [rates[t.tid] for t in tasks]
             # The rates just written were split across groups: a record
             # left alone later must rerun its rates pass.
             for rec in dom.records:
@@ -792,7 +791,7 @@ class SimulatedGPU:
         if kernel.bytes_moved > 0 and bwd > 0:
             rate_m = bw / kernel.bytes_moved
         rate = min(rate_c, rate_m)
-        dom.fluid._r[t._slot] = 0.0 if rate == float("inf") else rate
+        dom.fluid._r[0] = 0.0 if rate == float("inf") else rate
         # The record's columns no longer describe the rate just written:
         # mark it dirty so the next incremental pass recomputes it.
         st.dirty = True
@@ -827,7 +826,7 @@ class SimulatedGPU:
             # _recompute_group's.
             hit = None
             if not st.repeats and len(st.cls) == len(st.res):
-                hit = self._memo.get((st.budget, *st.cls.values()))
+                hit = self._memo.get((st.budget, *st.cls))
             if hit is None:
                 self._recompute_group(st)
             else:
@@ -851,11 +850,9 @@ class SimulatedGPU:
                     rmemo[key] = split
             st.split = split
             st.share = gs
-            # The columns mirror the residency dict, so rates align with
-            # its tasks; each lands straight in the task's pool slot.
-            slots = dom.fluid._r
-            for t, r in zip(st.res.values(), split[2]):
-                slots[t._slot] = r
+            # The group's residency order is the domain's column order,
+            # so the rates land as one column.
+            dom.fluid._r[:] = split[2]
         dom.cur_sm = cols.sm_sum
         dom.cur_bw = st.split[1]
 
@@ -886,17 +883,17 @@ class SimulatedGPU:
         """
         budget = st.budget
         kclass = st.kclass
-        group_tasks = st.res.values()
+        res = st.res
         if not kclass:
             # A budget change dropped every class (the hook classifies
             # each admission): classify in residency order.
-            for t in group_tasks:
+            for t in res:
                 self._classify(st, t)
-        work = [d for d, _, _ in kclass.values()]
-        kinfo = tuple([ki for _, ki, _ in kclass.values()])
+        work = [d for d, _, _ in kclass]
+        kinfo = tuple([ki for _, ki, _ in kclass])
         no_repeats = st.repeats == 0
         if no_repeats:
-            key = (budget, *st.cls.values())
+            key = (budget, *st.cls)
             hit = self._memo.get(key)
             if hit is not None:
                 self.alloc_memo_hits += 1
@@ -910,12 +907,11 @@ class SimulatedGPU:
             # not each kernel: several concurrent streams from one
             # capped client must share the client's slice.  Shrink the
             # demand copy — the classes keep the pre-shrink demands.
-            tasks = list(group_tasks)
             by_client: dict[int, list[int]] = {}
-            for i, t in enumerate(tasks):
+            for i, t in enumerate(res):
                 by_client.setdefault(id(t.meta["client"]), []).append(i)
             for idx in by_client.values():
-                cap = float(tasks[idx[0]].meta["client"].sm_cap)
+                cap = float(res[idx[0]].meta["client"].sm_cap)
                 subtotal = reduce(add, [work[i] for i in idx], 0.0)
                 if subtotal > cap:
                     shrink = cap / subtotal
@@ -1063,7 +1059,7 @@ class SimulatedGPU:
 
         return sm_alloc, bw_alloc, rates, total_sm, total_bw
 
-    def _verify_against_full(self, tasks: Iterable[FluidTask],
+    def _verify_against_full(self, tasks: list[FluidTask],
                              dom: _AllocDomain) -> None:
         """Cross-check: assert the incremental result for domain ``dom``
         (residents ``tasks``) equals the oracle.
@@ -1076,11 +1072,11 @@ class SimulatedGPU:
         self._verify_indexes(by_group, dom)
         sm_alloc, bw_alloc, rates, total_sm, total_bw = \
             self._compute_full(tasks)
-        for t in tasks:
-            if t.rate != rates[t.tid]:
+        for t, rate in zip(tasks, dom.fluid._r):
+            if rate != rates[t.tid]:
                 raise AllocatorMismatch(
                     f"{self.name}: rate mismatch for task {t.tid}: "
-                    f"incremental {t.rate!r} != full {rates[t.tid]!r}"
+                    f"incremental {rate!r} != full {rates[t.tid]!r}"
                 )
         if dom.cur_sm != total_sm or dom.cur_bw != total_bw:
             raise AllocatorMismatch(
@@ -1095,7 +1091,7 @@ class SimulatedGPU:
             # are positional in residency order.
             sm_list = st.cols.sm_list
             bw_list = st.split[0]
-            for i, t in enumerate(st.res.values()):
+            for i, t in enumerate(st.res):
                 if (sm_list[i] != sm_alloc[t.tid]
                         or bw_list[i] != bw_alloc[t.tid]):
                     raise AllocatorMismatch(
@@ -1124,7 +1120,12 @@ class SimulatedGPU:
         single = dom.single
         dom.regroup()  # a recount from the records just checked
         check(dom.single is single, "single-group record")
-        if single is None:
+        if single is not None:
+            # The one group's residency order is the domain's column
+            # order, which the incremental pass writes its rates by.
+            check(single.res == dom.fluid._slot_task,
+                  f"residency order of {single.group.name!r}")
+        else:
             # A full recompute wrote the rates: no record may skip its
             # next rates pass on a share from before it.
             check(all(st.share is None for st in dom.records),
@@ -1142,23 +1143,23 @@ class SimulatedGPU:
             tids = [t.tid for t in ts]
             counts = dict(Counter(t.meta["client"] for t in ts))
             check(st.dom is self._domains[st.group.fluid_domain]
-                  and list(st.res) == tids and st.counts == counts
+                  and [t.tid for t in st.res] == tids
+                  and st.counts == counts
                   and st.repeats == sum(c > 1 for c in counts.values()),
                   f"residency of {st.group.name!r}")
             # Every task is classified, in residency order, and each
             # class id names exactly the task's (demand, kernel
             # constants): ids are never reused, and a class re-interned
             # after a memo clear only gets a newer one.
-            check(list(st.cls) == list(st.kclass) == tids,
+            check(len(st.cls) == len(st.kclass) == len(tids),
                   f"classes of {st.group.name!r}")
-            for t in ts:
+            for t, entry, c in zip(ts, st.kclass, st.cls):
                 k: Kernel = t.meta["kernel"]
                 key = (float(min(k.max_sms, t.meta["client"].sm_cap,
                                  st.budget)),
                        (k.bytes_moved, k.flops,
                         self.spec.flops_per_sm * k.efficiency))
-                c = st.cls[t.tid]
-                check(st.kclass[t.tid] == (*key, c)
+                check(entry == (*key, c)
                       and owner.setdefault(c, key) == key
                       and self._kclass.get(key, c) >= c,
                       f"class of task {t.tid}")

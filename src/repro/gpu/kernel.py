@@ -9,6 +9,7 @@ cannot fill an A100, which is the entire premise of the paper's Fig. 2).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -48,12 +49,16 @@ class Kernel:
     kid: int = field(default_factory=lambda: next(_kernel_ids))
 
     def __post_init__(self) -> None:
-        if self.flops < 0 or self.bytes_moved < 0:
-            raise ValueError("flops and bytes_moved must be non-negative")
+        # Written so that NaN fails each test: a NaN or infinite amount
+        # of work would never drain from the fluid pool.
+        if not (0 <= self.flops < math.inf
+                and 0 <= self.bytes_moved < math.inf):
+            raise ValueError(
+                "flops and bytes_moved must be finite and non-negative")
         if self.flops == 0 and self.bytes_moved == 0:
             raise ValueError("kernel must do some work")
-        if self.max_sms <= 0:
-            raise ValueError("max_sms must be positive")
+        if not 0 < self.max_sms < math.inf:
+            raise ValueError("max_sms must be positive and finite")
         if not 0 < self.efficiency <= 1:
             raise ValueError("efficiency must be in (0, 1]")
 

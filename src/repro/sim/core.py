@@ -144,8 +144,8 @@ class Timeout(Event):
 
     def __init__(self, env: "Environment", delay: float, value: Any = None,
                  priority: int = NORMAL):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:  # NaN fails too
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         self.env = env
         self.callbacks = []
         self._scheduled = False
@@ -319,8 +319,8 @@ class Environment:
         """
         pool = self._tpool
         if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay!r}")
+            if not delay >= 0:  # NaN fails too
+                raise ValueError(f"delay must be >= 0, got {delay!r}")
             ev = pool.pop()
             ev.callbacks = []
             ev._value = None
@@ -382,7 +382,7 @@ class Environment:
         events: list[Event] = []
         prev = now
         for t in times:
-            if t < prev:
+            if not t >= prev:  # NaN fails too
                 # Discard the partial batch: nothing was heapified yet,
                 # so the appended tail can simply be cut off.
                 del queue[start:]
@@ -427,8 +427,8 @@ class Environment:
         pending firing.  The slot takes the ``(time, NORMAL, seq)`` key a
         :class:`Timeout` created here would have (arming consumes a
         ``seq``), so it fires in that timeout's place in the order."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:  # NaN fails too
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         seq = self._seq + 1
         self._seq = seq
         key = (self._now + delay, NORMAL, seq, slot)

@@ -31,22 +31,27 @@ has a single domain and behaves as one undivided pool.
 
 Storage layout
 --------------
-Within a domain, resident work, rate and drain threshold live in dense
-parallel lists indexed by a per-task *slot* (swap-remove on eviction
-keeps them dense).  ``FluidTask.work`` and ``FluidTask.rate`` are
-properties over the task's slot, so allocators and observers see a
-plain-attribute interface, while an allocator that knows the layout
-(the GPU device) writes rates straight into the domain's ``_r`` by slot.
-A resident task's ``work`` is as of its domain's last update: progress
-since then is applied at the domain's next event.  The two per-event hot
-loops are scalar loops over one domain's slot lists:
+Within a domain, the residents and their remaining work, rate and drain
+threshold live in four parallel *slot columns* (``_slot_task``, ``_w``,
+``_r``, ``_th``) in admission order: an admission appends, and a
+removal is an order-preserving ``del`` at the task's index.  The
+allocator is handed the domain's ``_slot_task`` list, so its i-th task
+owns column entry i, and an allocator that knows the layout (the GPU
+device) writes its rates into ``_r`` as one column.  ``FluidTask.work``
+and ``FluidTask.rate`` are properties over the task's column entry
+(found by identity), so other allocators and observers see a
+plain-attribute interface.  A resident task's ``work`` is as of its
+domain's last update: progress since then is applied at the domain's
+next event.  The two per-event hot loops are scalar loops over one
+domain's columns:
 
 - :meth:`FluidPool._advance` fuses the step into one subtraction,
   ``work = w - r*dt``, and clamps the drained amount to ``w`` only when
   the result is at or below the drain threshold (then the task drains,
   ending at 0.0 with ``w`` drained).  A zero rate subtracts and drains
   exact zeros, and a negative rate never reaches an advance (arming
-  rejects it).  The drained amounts are summed left to right;
+  rejects it).  The drained amounts are summed left to right, in
+  admission order, and the drained tasks leave in admission order;
 - the wakeup horizon is an order-free ``min`` of the work/rate
   quotients, taken with no pre-scan of the rates: resident work is
   positive, so a starved task raises ``ZeroDivisionError`` and a
@@ -76,26 +81,30 @@ _task_ids = itertools.count()
 
 
 class FluidTask:
-    """A unit of divisible work progressing at a pool-assigned rate."""
+    """A unit of divisible work progressing at a pool-assigned rate.
+
+    ``work`` must be finite and non-negative: a NaN or infinite amount
+    could never drain."""
 
     __slots__ = ("_work", "total_work", "_rate", "done", "meta", "tid",
-                 "domain", "_dom", "_thresh", "_slot", "_aseq")
+                 "domain", "_dom", "_thresh", "_aseq")
 
     def __init__(self, env: Environment, work: float, meta: Any = None):
-        if work < 0:
-            raise ValueError(f"negative work {work!r}")
-        self.total_work = float(work)
-        # Drain threshold, hoisted out of the advance loop (total_work
-        # is fixed at construction, so this is the same float the loop
-        # used to recompute per task per event).
-        self._thresh = _EPS * max(self.total_work, 1.0)
-        #: Remaining work, in abstract units (slot-resident while pooled).
-        self._work = float(work)
-        # Progress rate while not resident (always 0.0 once evicted).
+        work = float(work)
+        if not 0.0 <= work < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"work must be finite and >= 0, got {work!r}")
+        self.total_work = work
+        #: Remaining work, in abstract units (column-resident while
+        #: pooled).
+        self._work = work
+        # Drain threshold, hoisted out of the advance loop: the same
+        # float as _EPS * max(work, 1.0).
+        self._thresh = _EPS * work if work > 1.0 else _EPS
+        # Progress rate while not resident (0.0 once evicted).
         self._rate = 0.0
         #: Fires (with this task) when the work drains; see
         #: :class:`FluidPool` for where its callbacks run.
-        self.done: Event = Event(env, name="fluid-done")
+        self.done: Event = Event(env, "fluid-done")
         self.meta = meta
         self.tid = next(_task_ids)
         #: Isolation-domain key: the pool admits the task into the
@@ -103,16 +112,14 @@ class FluidTask:
         self.domain: Hashable = None
         # The domain the task is resident in, or None.
         self._dom: Optional[_Domain] = None
-        self._slot = -1
+        # Admission sequence number across the pool's domains.
         self._aseq = -1
 
     @property
     def work(self) -> float:
         """Remaining work, as of the domain's last update while resident."""
-        dom = self._dom
-        if dom is None:
-            return self._work
-        return dom._w[self._slot]
+        d = self._dom
+        return self._work if d is None else d._w[d._slot_task.index(self)]
 
     @work.setter
     def work(self, value: float) -> None:
@@ -120,15 +127,13 @@ class FluidTask:
         if dom is None:
             self._work = value
         else:
-            dom._w[self._slot] = value
+            dom._w[dom._slot_task.index(self)] = value
 
     @property
     def rate(self) -> float:
-        """Progress rate (units/s) set by the allocator; slot-resident."""
-        dom = self._dom
-        if dom is None:
-            return self._rate
-        return dom._r[self._slot]
+        """Progress rate (units/s) set by the allocator; column-resident."""
+        d = self._dom
+        return self._rate if d is None else d._r[d._slot_task.index(self)]
 
     @rate.setter
     def rate(self, value: float) -> None:
@@ -136,7 +141,7 @@ class FluidTask:
         if dom is None:
             self._rate = value
         else:
-            dom._r[self._slot] = value
+            dom._r[dom._slot_task.index(self)] = value
 
     @property
     def progress(self) -> float:
@@ -152,28 +157,23 @@ class FluidTask:
         )
 
 
-def _aseq_key(task: FluidTask) -> int:
-    return task._aseq
+_aseq_key = operator.attrgetter("_aseq")
 
 
 class _Domain:
-    """One isolation domain of a :class:`FluidPool`: its residents, their
-    slot lists, its progress clock, allocation revision and wakeup."""
+    """One isolation domain of a :class:`FluidPool`: its residents' slot
+    columns (admission order), progress clock, allocation revision and
+    wakeup."""
 
-    __slots__ = ("pool", "_tasks", "_w", "_r", "_th", "_slot_task",
-                 "_last_update", "_wake", "_wakeup_pending", "_members_rev",
-                 "_alloc_rev", "_alloc_epoch")
+    __slots__ = ("pool", "_w", "_r", "_th", "_slot_task", "_last_update",
+                 "_wake", "_wakeup_pending", "_members_rev", "_alloc_rev",
+                 "_alloc_epoch")
 
     def __init__(self, pool: "FluidPool") -> None:
         self.pool = pool
-        # Resident tasks keyed by tid.  Python dicts preserve insertion
-        # order, so iteration is admission order (the allocator contract)
-        # while removal is O(1).
-        self._tasks: dict[int, FluidTask] = {}
-        # Dense parallel slot lists (see module docstring): _slot_task[i]
-        # is the task in slot i; _w/_r/_th hold its remaining work, rate,
-        # and drain threshold.  Eviction swap-removes the last slot into
-        # the hole, so [0:n) is always dense.
+        # Parallel slot columns in admission order (see module
+        # docstring): _slot_task[i] is the i-th resident; _w/_r/_th hold
+        # its remaining work, rate and drain threshold.
         self._w: list[float] = []
         self._r: list[float] = []
         self._th: list[float] = []
@@ -217,11 +217,12 @@ class FluidPool:
     env:
         Simulation environment.
     allocator:
-        Called with a view of one domain's resident tasks (in admission
-        order) whenever that domain's membership changes; must set
-        ``task.rate`` on each (or write the domain's ``_r`` by
-        ``task._slot``, which is the same store).  Rates must be
-        non-negative and may be zero (a starved task simply does not
+        Called with one domain's admission-ordered list of resident
+        tasks (its ``_slot_task`` column, which it must not mutate)
+        whenever that domain's membership changes; must set
+        ``task.rate`` on each, or write the domain's ``_r`` column, whose
+        i-th entry is the i-th task's rate (the same store).  Rates must
+        be non-negative and may be zero (a starved task simply does not
         progress).
     on_change:
         Optional ``fn(task, added)`` invoked synchronously at every
@@ -242,9 +243,8 @@ class FluidPool:
         self.on_change = on_change
         # Domains by key, in creation order.
         self._domains: dict[Hashable, _Domain] = {}
-        # Admission sequence, across domains: slot order is scrambled by
-        # swap-removes, so batch completions are re-sorted by this before
-        # being finalised, and ``tasks`` merges the domains by it.
+        # Admission sequence, across domains: ``tasks`` merges the
+        # domains' admission-ordered columns by it.
         self._aseq = 0
         # External capacity changes (poke) bump the epoch: every domain's
         # next reallocation then runs the allocator.
@@ -262,15 +262,15 @@ class FluidPool:
     @property
     def tasks(self) -> tuple[FluidTask, ...]:
         """Resident tasks of every domain, in admission order."""
-        views = [d._tasks.values() for d in self._domains.values()
-                 if d._tasks]
-        if len(views) == 1:
-            return tuple(views[0])
-        return tuple(sorted(itertools.chain.from_iterable(views),
+        columns = [d._slot_task for d in self._domains.values()
+                   if d._slot_task]
+        if len(columns) == 1:
+            return tuple(columns[0])
+        return tuple(sorted(itertools.chain.from_iterable(columns),
                             key=_aseq_key))
 
     def __len__(self) -> int:
-        return sum(len(d._tasks) for d in self._domains.values())
+        return sum(len(d._slot_task) for d in self._domains.values())
 
     def domain(self, key: Hashable = None) -> _Domain:
         """The domain of ``key``, created on first use."""
@@ -294,15 +294,14 @@ class FluidPool:
             task._work = 0.0
             task.done.succeed(task)
             return task
-        task._slot = len(d._slot_task)
         d._w.append(task._work)
         d._r.append(0.0)  # no progress until the allocator runs
         d._th.append(task._thresh)
         d._slot_task.append(task)
+        task._rate = 0.0  # what ``rate`` reads once the task leaves
         task._aseq = self._aseq
         self._aseq += 1
         task._dom = d
-        d._tasks[task.tid] = task
         d._members_rev += 1
         if self.on_change is not None:
             self.on_change(task, True)
@@ -319,8 +318,10 @@ class FluidPool:
             # The pending progress drained it: _advance already finished
             # it (done fired, membership updated) — nothing left to evict.
             return 0.0
-        self._evict_slot(task)
-        del d._tasks[task.tid]
+        i = d._slot_task.index(task)
+        task._work = d._w[i]
+        del d._w[i], d._r[i], d._th[i], d._slot_task[i]
+        task._dom = None
         d._members_rev += 1
         if self.on_change is not None:
             self.on_change(task, False)
@@ -330,7 +331,7 @@ class FluidPool:
     def poke(self) -> None:
         """Force a reallocation of every domain (e.g. after an external
         capacity change)."""
-        busy = [d for d in self._domains.values() if d._tasks]
+        busy = [d for d in self._domains.values() if d._slot_task]
         if not busy:
             # Capacity changes cannot affect anyone, and an empty domain
             # has nothing to drain: skip the allocator round trip.
@@ -341,28 +342,6 @@ class FluidPool:
             self._reallocate(d)
 
     # -- internals ------------------------------------------------------------
-    def _evict_slot(self, task: FluidTask) -> None:
-        """Swap-remove ``task``'s slot and detach the task from its domain
-        (its work is written back; its rate drops to zero)."""
-        d = task._dom
-        i = task._slot
-        task._work = d._w[i]
-        task._rate = 0.0
-        task._dom = None
-        last = len(d._slot_task) - 1
-        if i != last:
-            d._w[i] = d._w[last]
-            d._r[i] = d._r[last]
-            d._th[i] = d._th[last]
-            moved = d._slot_task[last]
-            d._slot_task[i] = moved
-            moved._slot = i
-        d._w.pop()
-        d._r.pop()
-        d._th.pop()
-        d._slot_task.pop()
-        task._slot = -1
-
     def _advance(self, d: _Domain,
                  inline: bool = False) -> Optional[list[FluidTask]]:
         """Apply domain ``d``'s progress at current rates from its last
@@ -380,7 +359,7 @@ class FluidPool:
         w = d._w
         r = d._r
         th = d._th
-        finished: Optional[list[FluidTask]] = None
+        drained_at: Optional[list[int]] = None
         drained_total = 0.0
         for i in range(n):
             drained = r[i] * dt
@@ -390,32 +369,36 @@ class FluidPool:
                 if drained > w[i]:
                     drained = w[i]
                 work = 0.0
-                if finished is None:
-                    finished = []
-                finished.append(d._slot_task[i])
+                if drained_at is None:
+                    drained_at = []
+                drained_at.append(i)
             w[i] = work
             drained_total += drained
         self._work_drained.add(drained_total)
-        if finished is not None:
-            if len(finished) > 1:
-                finished.sort(key=_aseq_key)  # admission order, as before
-            on_change = self.on_change
-            for task in finished:
-                self._evict_slot(task)
-                task._work = 0.0
-                del d._tasks[task.tid]
-                d._members_rev += 1
-                if on_change is not None:
-                    on_change(task, False)
-                if inline:
-                    # Triggered now, delivered by the wakeup.
-                    task.done._value = task
-                else:
-                    task.done.succeed(task)
+        if drained_at is None:
+            return None
+        slot_task = d._slot_task
+        on_change = self.on_change
+        finished = []
+        for k, i in enumerate(drained_at):
+            i -= k  # the k drained before it have left the columns
+            task = slot_task[i]
+            del w[i], r[i], th[i], slot_task[i]
+            task._work = 0.0
+            task._dom = None
+            finished.append(task)
+            d._members_rev += 1
+            if on_change is not None:
+                on_change(task, False)
+            if inline:
+                # Triggered now, delivered by the wakeup.
+                task.done._value = task
+            else:
+                task.done.succeed(task)
         return finished
 
     def _reallocate(self, d: _Domain) -> None:
-        if not d._tasks:
+        if not d._slot_task:
             self._disarm(d)
             d._alloc_rev = -1
             return
@@ -428,7 +411,7 @@ class FluidPool:
             # revision — so nothing is armed: arm the next completion.
             self._schedule_wakeup(d)
             return
-        self.allocator(d._tasks.values())
+        self.allocator(d._slot_task)
         d._alloc_rev = d._members_rev
         d._alloc_epoch = self._epoch
         # The common case, armed in this frame: a domain whose tasks all

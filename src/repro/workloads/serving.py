@@ -164,9 +164,11 @@ class InferenceServer:
         self._pause_event: Optional[Event] = None
         self._executing = False
         self._drain_waiters: list[Event] = []
-        # The callback-driven decode (see _execute_batch): tokens left
-        # per request, and the event the generator waits on meanwhile.
-        self._tokens_left: dict[int, int] = {}
+        # The callback-driven decode (see _execute_batch): decode steps
+        # done in the batch, the step at which its next request
+        # finishes, and the event the generator waits on meanwhile.
+        self._step = 0
+        self._next_finish = 0
         self._batch_end: Optional[Event] = None
         #: True from crash() on: the decode callbacks stand down, as a
         #: generator would stop at its next resume.
@@ -332,12 +334,15 @@ class InferenceServer:
         kernel's ``done`` (:meth:`_on_kernel_done`), then the host-gap
         timeout (:meth:`_on_host_gap`) — and the step that ends the
         batch resumes this generator inline, so a step costs no
-        generator resume and no event beyond those two.
+        generator resume and no event beyond those two.  A request
+        finishes at the step that equals its token count, so a step
+        walks the batch only when it is the next finishing one.
         """
         env = self.env
         for request in batch:
             request.start_time = env.now
-        self._tokens_left = {r.rid: r.n_tokens for r in batch}
+        self._step = 0
+        self._next_finish = min([r.n_tokens for r in batch])
         if self._launch_step():
             self._batch_end = end = env.event()
             yield end
@@ -375,27 +380,27 @@ class InferenceServer:
     def _on_host_gap(self, _event: Event) -> None:
         if self._crashing:
             return
-        now = self.env.now
-        tokens_left = self._tokens_left
-        still_active = []
-        for request in self._active:
-            rid = request.rid
-            tokens_left[rid] -= 1
-            if tokens_left[rid] == 0:
-                request.finish_time = now
-                self.n_completed += 1
-                if self.keep_completed:
-                    self.completed.append(request)
-                if self.on_complete is not None:
-                    self.on_complete(request)
-                request.done.succeed(request)
-            else:
-                still_active.append(request)
-        if len(still_active) < len(self._active):
+        self._step = step = self._step + 1
+        if step == self._next_finish:
+            now = self.env.now
+            still_active = []
+            for request in self._active:
+                if request.n_tokens == step:
+                    request.finish_time = now
+                    self.n_completed += 1
+                    if self.keep_completed:
+                        self.completed.append(request)
+                    if self.on_complete is not None:
+                        self.on_complete(request)
+                    request.done.succeed(request)
+                else:
+                    still_active.append(request)
             # A request finished: queue_depth fell.
             self._active = still_active
             self._on_change()
-        if not still_active or not self._launch_step():
+            self._next_finish = min([r.n_tokens for r in still_active],
+                                    default=0)
+        if not self._active or not self._launch_step():
             self._end_batch()
 
     def _end_batch(self) -> None:

@@ -1,6 +1,7 @@
 """Unit tests for the kernel roofline model."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -18,6 +19,19 @@ def test_kernel_validation():
         Kernel(flops=1, bytes_moved=0, max_sms=1, efficiency=0.0)
     with pytest.raises(ValueError):
         Kernel(flops=1, bytes_moved=0, max_sms=1, efficiency=1.5)
+
+
+@pytest.mark.parametrize("fields", [
+    {"flops": math.nan}, {"flops": math.inf},
+    {"bytes_moved": math.nan}, {"bytes_moved": math.inf},
+    {"max_sms": math.nan}, {"max_sms": math.inf},
+], ids=["nan-flops", "inf-flops", "nan-bytes", "inf-bytes", "nan-sms",
+        "inf-sms"])
+def test_kernel_rejects_non_finite_values(fields):
+    # NaN flops would read as memory-bound and inf flops would sit
+    # resident at rate 0 forever; a NaN test must fail, not pass.
+    with pytest.raises(ValueError, match="finite"):
+        Kernel(**{"flops": 1e9, "bytes_moved": 1e6, "max_sms": 8, **fields})
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Kernel)])

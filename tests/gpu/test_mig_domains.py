@@ -52,7 +52,7 @@ def test_events_in_one_instance_leave_the_other_untouched():
     long_a = a.client("a0").launch(Kernel(flops=4e12, bytes_moved=1e9,
                                           max_sms=14))
     env.run(until=env.now + 0.01)
-    b_tids = set(dom_b._tasks)
+    b_tids = {t.tid for t in dom_b._slot_task}
     work_b = _bits(dom_b._w)
     key_b = env._timers[dom_b._wake]
 
@@ -65,14 +65,14 @@ def test_events_in_one_instance_leave_the_other_untouched():
     short_a = a.client("a1").launch(Kernel(flops=1e10, bytes_moved=1e8,
                                            max_sms=14))
     untouched()
-    assert seen == [list(dom_a._tasks)] and len(seen[0]) == 2
+    assert seen == [[t.tid for t in dom_a._slot_task]] and len(seen[0]) == 2
 
     # A drain in A (its wakeup), reallocating A's survivor alone.
     del seen[:]
     env.run(until=short_a)
     untouched()
-    assert seen == [list(dom_a._tasks)] and len(seen[0]) == 1
-    assert not long_a.triggered and set(dom_b._tasks) == b_tids
+    assert seen == [[t.tid for t in dom_a._slot_task]] and len(seen[0]) == 1
+    assert not long_a.triggered and {t.tid for t in dom_b._slot_task} == b_tids
     env.run()
     assert gpu.kernels_completed == 4
 

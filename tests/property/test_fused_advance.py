@@ -67,7 +67,7 @@ class LoopAdvancePool(FluidPool):
         w = d._w
         r = d._r
         th = d._th
-        finished = None
+        drained_at = None
         drained_total = 0.0
         for i in range(n):
             rate = r[i]
@@ -83,17 +83,23 @@ class LoopAdvancePool(FluidPool):
             drained_total += drained
             if work <= th[i]:
                 work = 0.0
-                if finished is None:
-                    finished = []
-                finished.append(d._slot_task[i])
+                if drained_at is None:
+                    drained_at = []
+                drained_at.append(i)
             w[i] = work
         self._work_drained.add(drained_total)
-        if finished is not None:
-            finished.sort(key=operator.attrgetter("_aseq"))
-            for task in finished:
-                self._evict_slot(task)
+        finished = None
+        if drained_at is not None:
+            finished = []
+            # Order-preserving removal from the admission-ordered
+            # columns, as the pool does.
+            for k, i in enumerate(drained_at):
+                i -= k
+                task = d._slot_task[i]
+                del w[i], r[i], th[i], d._slot_task[i]
                 task._work = 0.0
-                del d._tasks[task.tid]
+                task._dom = None
+                finished.append(task)
                 d._members_rev += 1
                 if self.on_change is not None:
                     self.on_change(task, False)
@@ -106,7 +112,7 @@ class LoopAdvancePool(FluidPool):
         return finished
 
     def _reallocate(self, d):
-        if not d._tasks:
+        if not d._slot_task:
             self._disarm(d)
             d._alloc_rev = -1
             return
@@ -116,7 +122,7 @@ class LoopAdvancePool(FluidPool):
                 return
             self._schedule_wakeup(d)
             return
-        self.allocator(d._tasks.values())
+        self.allocator(d._slot_task)
         d._alloc_rev = d._members_rev
         d._alloc_epoch = self._epoch
         r = d._r

@@ -7,10 +7,12 @@ stay, and the ``vector`` regime now checks the scalar floats against
 that numpy formulation, a test-only oracle.  :func:`regime_checks` runs
 a block with these checks:
 
-- in both regimes, after every reallocation and eviction, each task
-  resident in the domain sits in its slot (``d._slot_task[t._slot] is
-  t``) and its ``rate``/``work`` read that slot; after a reallocation,
-  the domain's completion wakeup is armed exactly at its earliest
+- in both regimes, after every advance (where tasks drain) and every
+  reallocation, the domain's slot columns hold its residents in
+  admission order (``_aseq`` strictly ascending) and each task's
+  ``rate``/``work`` read its own column entry, and a drained task has
+  left its domain and reads rate 0.0; after a reallocation, the
+  domain's completion wakeup is armed exactly at its earliest
   completion, ``now + min(work / rate)`` over the tasks that progress,
   or disarmed when none does (:func:`check_horizon`);
 - in the ``vector`` regime also: every advance leaves each task the
@@ -45,8 +47,10 @@ def check_slots(d) -> None:
     docstring)."""
     n = len(d._slot_task)
     assert len(d._w) == len(d._r) == len(d._th) == n
+    aseq = [t._aseq for t in d._slot_task]
+    assert all(a < b for a, b in zip(aseq, aseq[1:])), aseq
     for i, t in enumerate(d._slot_task):
-        assert t._slot == i and t._dom is d
+        assert t._dom is d
         assert t.rate == d._r[i] and t.work == d._w[i]
 
 
@@ -97,8 +101,8 @@ def _advance_oracle(pool: FluidPool, d, advance, inline: bool):
     want._comp = acc._comp
     want.add(float(np.add.accumulate(drained)[-1]))
     finished = advance(pool, d, inline)
-    drained_tasks = sorted((t for t, d in zip(tasks, done.tolist()) if d),
-                           key=lambda t: t._aseq)
+    # The columns are in admission order, and so are the drained tasks.
+    drained_tasks = [t for t, d in zip(tasks, done.tolist()) if d]
     assert (finished or []) == drained_tasks
     assert [t.work for t in tasks] == left.tolist()
     assert (acc.value, acc._comp) == (want.value, want._comp)
@@ -107,9 +111,9 @@ def _advance_oracle(pool: FluidPool, d, advance, inline: bool):
 
 def _columns_np(st) -> tuple:
     """A group's allocation columns, by numpy, from its classes."""
-    work = [d for d, _, _ in st.kclass.values()]
+    work = [d for d, _, _ in st.kclass]
     if st.repeats:
-        tasks = list(st.res.values())
+        tasks = st.res
         by_client = {}
         for i, t in enumerate(tasks):
             by_client.setdefault(id(t.meta["client"]), []).append(i)
@@ -123,7 +127,7 @@ def _columns_np(st) -> tuple:
     total = float(np.add.accumulate(w)[-1])
     scale = min(1.0, st.budget / total) if total > 0 else 0.0
     sm = w * scale
-    ki = np.array([k for _, k, _ in st.kclass.values()], dtype=np.float64)
+    ki = np.array([k for _, k, _ in st.kclass], dtype=np.float64)
     bytes_a, flops_a, smrate_a = ki[:, 0], ki[:, 1], ki[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         v = bytes_a * ((smrate_a * sm) / flops_a)
@@ -179,12 +183,11 @@ def _group_rates_np(cols, gs: float, overhead: float) -> tuple:
 
 @contextmanager
 def regime_checks(numpy_oracle: bool):
-    """Run the block with :func:`check_slots` after every reallocation
-    and eviction and :func:`check_horizon` after every reallocation;
+    """Run the block with :func:`check_slots` after every advance and
+    reallocation and :func:`check_horizon` after every reallocation;
     with ``numpy_oracle`` (the ``vector`` regime), also check every
     advance, column and split against numpy."""
     reallocate = FluidPool._reallocate
-    evict = FluidPool._evict_slot
     advance = FluidPool._advance
     recompute = SimulatedGPU._recompute_group
     group_rates = device._group_rates
@@ -195,21 +198,19 @@ def regime_checks(numpy_oracle: bool):
                  or pool._epoch != d._alloc_epoch)
         built = d._wake is not None
         reallocate(pool, d)
-        assert len(d._slot_task) == len(d._tasks)
-        for t in d._tasks.values():
-            assert d._slot_task[t._slot] is t
         check_slots(d)
         check_horizon(d, fresh and built
                       and min(d._r, default=0.0) > 0.0, numpy_oracle)
 
-    def checked_evict(pool, task):
-        d = task._dom
-        evict(pool, task)
-        assert task._dom is None and task.rate == 0.0
-        check_slots(d)
-
     def checked_advance(pool, d, inline=False):
-        return _advance_oracle(pool, d, advance, inline)
+        if numpy_oracle:
+            finished = _advance_oracle(pool, d, advance, inline)
+        else:
+            finished = advance(pool, d, inline)
+        for task in finished or ():
+            assert task._dom is None and task.rate == 0.0
+        check_slots(d)
+        return finished
 
     def checked_recompute(gpu, st):
         recompute(gpu, st)
@@ -224,10 +225,9 @@ def regime_checks(numpy_oracle: bool):
 
     patches = [mock.patch.object(FluidPool, "_reallocate",
                                  checked_reallocate),
-               mock.patch.object(FluidPool, "_evict_slot", checked_evict)]
+               mock.patch.object(FluidPool, "_advance", checked_advance)]
     if numpy_oracle:
         patches += [
-            mock.patch.object(FluidPool, "_advance", checked_advance),
             mock.patch.object(SimulatedGPU, "_recompute_group",
                               checked_recompute),
             mock.patch.object(device, "_group_rates", checked_group_rates),

@@ -31,6 +31,41 @@ def test_timeout_negative_delay_rejected():
         env.timeout(-1.0)
 
 
+# A NaN delay used to be accepted and fire out of order with the clock
+# unmoved: every delay and time check must reject it.
+NAN = float("nan")
+
+
+def test_timeout_nan_delay_rejected():
+    with pytest.raises(ValueError):
+        Environment().timeout(NAN)
+
+
+def test_timeout_pooled_nan_delay_rejected():
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.timeout_pooled(NAN)  # a fresh pooled timeout
+    env.timeout_pooled(0.0)
+    env.run()
+    assert env._tpool
+    with pytest.raises(ValueError):
+        env.timeout_pooled(NAN)  # a recycled one
+
+
+def test_arm_nan_delay_rejected():
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.arm(WakeupSlot(env, lambda ev: None), NAN)
+    assert env._tnext is None
+
+
+def test_schedule_batch_nan_time_rejected():
+    env = Environment()
+    with pytest.raises(SimulationError, match="non-decreasing"):
+        env.schedule_batch([1.0, NAN])
+    assert not env._queue
+
+
 def test_timeout_carries_value():
     env = Environment()
     seen = []

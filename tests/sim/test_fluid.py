@@ -118,6 +118,22 @@ def test_negative_work_rejected():
         FluidTask(env, work=-1.0)
 
 
+def test_non_finite_work_rejected():
+    # NaN work would re-arm its wakeup at the same instant forever, and
+    # infinite work would drain at admission (its threshold is inf).
+    env = Environment()
+    for work in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FluidTask(env, work=work)
+
+
+def test_drain_threshold_is_relative_above_one_unit():
+    env = Environment()
+    for work in (0.0, 0.5, 1.0, 1.5, 3e7):
+        task = FluidTask(env, work=work)
+        assert task._thresh == 1e-9 * max(work, 1.0)
+
+
 def test_starved_task_waits_for_poke():
     env = Environment()
     capacity = {"value": 0.0}
@@ -306,21 +322,26 @@ def test_on_change_hook_sees_every_mutation():
 
 
 def test_rates_live_in_pool_slots():
+    """The slot columns hold the residents in admission order.  A
+    removal deletes its entry in place: after the first of three tasks
+    is cancelled, the other two keep their order and their work and
+    rate entries."""
     env = Environment()
-    pool = FluidPool(env, equal_share_allocator(12.0))
-    tasks = [FluidTask(env, work=w) for w in (30.0, 60.0, 90.0)]
-    for t in tasks:
-        pool.add(t)
-    assert [t.rate for t in tasks] == [4.0, 4.0, 4.0]
-    # The rate is the slot: writing one writes the other.
+    rates = [1.0, 2.0, 4.0]
+    pool = FluidPool(env, lambda tasks: [setattr(t, "rate", rates[t.meta])
+                                         for t in tasks])
+    tasks = [pool.add(FluidTask(env, work=10.0, meta=i)) for i in range(3)]
+    d = pool.domain()
+    assert d._slot_task == tasks and d._r == [1.0, 2.0, 4.0]
+    # The rate is the column entry: writing one writes the other.
     tasks[1].rate = 7.0
-    assert pool.domain()._r[tasks[1]._slot] == 7.0
-    # Evicting the first slot swap-moves the last task into it; rates
-    # follow their tasks, and an evicted task reads zero.
-    pool.cancel(tasks[0])
-    assert tasks[2]._slot == 0
-    assert tasks[0].rate == 0.0
-    assert [t.rate for t in tasks[1:]] == [6.0, 6.0]
+    assert d._r == [1.0, 7.0, 4.0] and tasks[1].rate == 7.0
+    env.run(until=1.0)
+    assert pool.cancel(tasks[0]) == 9.0
+    assert d._slot_task == tasks[1:]
+    assert d._w == [3.0, 6.0] and d._r == [2.0, 4.0]
+    assert [t.rate for t in tasks] == [0.0, 2.0, 4.0]
+    assert [t.work for t in tasks] == [9.0, 3.0, 6.0]
 
 
 def test_completion_below_clock_resolution_terminates():

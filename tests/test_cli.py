@@ -188,24 +188,6 @@ def test_bench_exits_nonzero_naming_each_failed_check(capsys, tmp_path,
     assert report["unmeasured"] == ["scale.speedup"]
 
 
-def test_sharded_autoscale_payload_is_independent_of_the_builtin_sum(
-        capsys, tmp_path, monkeypatch):
-    """From Python 3.12 the builtin ``sum`` compensates float rounding;
-    the payload must come out byte-identical under either ``sum``."""
-    import builtins
-
-    from tests.pysum import sum_py312
-
-    argv = ("serve", "--autoscale", "--chaos", "--horizon", "300",
-            "--shards", "1", "--cells", "3", "--out")
-    run_cli(capsys, *argv, str(tmp_path / "py311.json"))
-    with monkeypatch.context() as patched:
-        patched.setattr(builtins, "sum", sum_py312)
-        run_cli(capsys, *argv, str(tmp_path / "py312.json"))
-    assert (tmp_path / "py312.json").read_text() == \
-        (tmp_path / "py311.json").read_text()
-
-
 def test_serve_command_writes_report(capsys, tmp_path):
     import json
 

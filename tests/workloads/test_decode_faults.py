@@ -13,6 +13,12 @@ The expected outcomes (counters, finish times, failure types, kernels
 launched) were recorded from the generator-driven decode loop this one
 replaced.  After a crash lands, the counters must stay frozen: no
 decode callback may act on a dead server.
+
+A batch of unequal lengths (2, 5 and 5 tokens) pins the decode
+countdown, which walks the batch only at a step where a request
+finishes: its finish times, counters and routing-hook calls were
+recorded from the per-token walk it replaced, plain, with a launch
+failure and with a crash after the first request has finished.
 """
 
 import pytest
@@ -43,13 +49,14 @@ GAP = (STEPS[1][1] + STEPS[2][0]) / 2
 END = FINISH[1]
 
 
-def make():
+def make(max_batch_size=4):
     env = Environment()
     gpu = SimulatedGPU(env, A100_80GB)
     daemon = MpsControlDaemon(gpu)
     daemon.start()
     server = InferenceServer(env, daemon.client("server"),
-                             LlamaInference(LLAMA2_7B, FP16))
+                             LlamaInference(LLAMA2_7B, FP16),
+                             max_batch_size=max_batch_size)
     return env, gpu, server
 
 
@@ -235,3 +242,87 @@ def test_failed_step_fails_the_batch_and_the_replica_survives(fault):
         "completed": 1, "failed": 2, "launched": 4, "alive": True,
         "finish": [None, None, 0.5488615384615385],
         "outcome": [error, error, "ok"]}
+
+
+# One full batch (max_batch_size=3) of a 2-token and two 5-token
+# requests: (launch, done) per step and the finish times, recorded from
+# the per-token walk.  The first request finishes at the second step's
+# host gap, and the next three steps decode a batch of two.
+UNEQUAL_STEPS = [(0.0, 0.041476923076923085),
+                 (0.08147692307692309, 0.12295384615384616),
+                 (0.16295384615384617, 0.19850549450549454),
+                 (0.23850549450549455, 0.2740571428571429),
+                 (0.31405714285714287, 0.34960879120879124)]
+UNEQUAL_FINISH = [0.16295384615384617, 0.3896087912087912,
+                  0.3896087912087912]
+#: Mid-host-gap instant of the third step, after the first finish.
+UNEQUAL_GAP = (UNEQUAL_STEPS[2][1] + UNEQUAL_STEPS[3][0]) / 2
+#: ``(time, queue_depth, alive)`` at each routing-hook call while the
+#: batch is gathered (three submits, then a get and its resume each),
+#: and at the first request's finish.
+UNEQUAL_HOOK = [(0.0, 1, True), (0.0, 2, True), (0.0, 3, True),
+                (0.0, 2, True), (0.0, 3, True), (0.0, 2, True),
+                (0.0, 3, True), (0.0, 2, True), (0.0, 3, True),
+                (UNEQUAL_FINISH[0], 2, True)]
+
+
+def run_unequal(fault=None):
+    """Run the unequal batch with ``fault`` injected at
+    ``UNEQUAL_GAP``; returns the summary, the steps and the hook
+    calls."""
+    env, _gpu, server = make(max_batch_size=3)
+    hook = []
+    server._on_change = lambda: hook.append(
+        (env.now, server.queue_depth, server.alive))
+    steps = []
+    launch = server.client.launch
+
+    def traced(kernel):
+        done = launch(kernel)
+        record = [env.now, None]
+        done.callbacks.append(lambda _ev: record.__setitem__(1, env.now))
+        steps.append(record)
+        return done
+
+    server.client.launch = traced
+    requests = submit(server, 2, 5, 5)
+    if fault == "launch":
+        at(env, UNEQUAL_GAP, lambda: setattr(server, "fail_next_launches",
+                                             1))
+    elif fault == "crash":
+        at(env, UNEQUAL_GAP, server.crash)
+    env.run()
+    return summary(server, requests), [tuple(s) for s in steps], hook
+
+
+def test_unequal_batch_counts_down_to_each_finish():
+    result, steps, hook = run_unequal()
+    assert steps == UNEQUAL_STEPS
+    assert result == {
+        "completed": 3, "failed": 0, "launched": 5, "alive": True,
+        "finish": UNEQUAL_FINISH, "outcome": ["ok"] * 3}
+    end = UNEQUAL_FINISH[1]
+    # The batch's last step: the walk, the hand-back and the next get.
+    assert hook == UNEQUAL_HOOK + [(end, 0, True)] * 3
+
+
+def test_unequal_batch_launch_failure_after_a_finish():
+    result, steps, hook = run_unequal("launch")
+    assert steps == UNEQUAL_STEPS[:3]
+    assert result == {
+        "completed": 1, "failed": 2, "launched": 3, "alive": True,
+        "finish": UNEQUAL_FINISH[:1] + [None, None],
+        "outcome": ["ok", "GpuLaunchError", "GpuLaunchError"]}
+    # The rejected fourth launch fails the two survivors at the end of
+    # the third step's host gap.
+    assert hook == UNEQUAL_HOOK + [(UNEQUAL_STEPS[3][0], 0, True)] * 3
+
+
+def test_unequal_batch_crash_in_a_host_gap_after_a_finish():
+    result, steps, hook = run_unequal("crash")
+    assert steps == UNEQUAL_STEPS[:3]
+    assert result == {
+        "completed": 1, "failed": 2, "launched": 3, "alive": False,
+        "finish": UNEQUAL_FINISH[:1] + [None, None],
+        "outcome": ["ok", "RuntimeError", "RuntimeError"]}
+    assert hook == UNEQUAL_HOOK + [(UNEQUAL_GAP, 2, False)]
